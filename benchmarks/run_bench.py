@@ -45,10 +45,9 @@ Phases
     0 skips).  The first sample pays the pool warm-up; later samples hit
     the warm pool and the content-addressed response cache, which is the
     point — the median reports the steady state a compile server sees.
-``alloc_registry_all`` / ``alloc_registry_all_jobs<N>``
-    Every registry workload allocated back-to-back, serial vs pooled.
-    ``alloc_registry_all_jobs1`` is the serial path under its pool-era
-    label (``jobs=1`` never leaves the process).
+``alloc_registry_all_jobs1`` / ``alloc_registry_all_jobs<N>``
+    Every registry workload allocated back-to-back, serial vs pooled
+    (``jobs=1`` never leaves the process).
     ``alloc_registry_all_jobs<N>_nocache`` repeats the pooled sweep with
     the response cache disabled — warm-pool dispatch cost, honestly.
 ``wire_encode_registry`` / ``wire_decode_registry`` /
@@ -300,10 +299,6 @@ def bench_registry(runs: int, jobs: int, results: dict) -> None:
                 jobs=sweep_jobs, cache=cache,
             )
 
-    results["alloc_registry_all"] = {
-        "median_s": _median_time(lambda: sweep(1), runs),
-        "runs": runs,
-    }
     results["alloc_registry_all_jobs1"] = {
         "median_s": _median_time(lambda: sweep(1), runs),
         "runs": runs,

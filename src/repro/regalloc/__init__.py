@@ -18,7 +18,7 @@ The package decomposes the allocator the way the paper does (Figure 4):
 
 :mod:`matula` additionally provides the standalone Matula–Beck
 smallest-last ordering the paper credits as the inspiration (§2.2), and
-:mod:`repair` the parallel conflict-repair strategy (speculate / detect /
+:mod:`repair` the conflict-repair strategy (speculate / detect /
 re-color, after Rokos–Gorman–Kelly) that scales coloring to million-node
 graphs — see docs/ALGORITHMS.md.
 """

@@ -53,7 +53,7 @@ from repro.ir.function import Function
 from repro.ir.module import Module
 from repro.ir.values import RClass
 from repro.machine.target import Target
-from repro.observability.trace import NULL_TRACER, Tracer, coerce_tracer
+from repro.observability.trace import NULL_TRACER, coerce_tracer
 from repro.regalloc.briggs import BriggsAllocator
 from repro.regalloc.chaitin import ChaitinAllocator
 from repro.regalloc.coalesce import coalesce_copies
@@ -548,24 +548,6 @@ class ModuleAllocation:
             f"ModuleAllocation({self.method}, {len(self.results)} functions, "
             f"{self.total_spilled()} spilled{failed})"
         )
-
-
-def _allocate_worker(function, target, method, kwargs, trace=False):
-    """Pre-pool process-pool entry point, kept as the transport-free
-    reference: allocate one pickled function copy in-process.
-
-    Returns ``(result, trace_snapshot)``.  The persistent-pool path
-    (:mod:`repro.regalloc.pool`) supersedes this for dispatch — workers
-    there receive wire text, not pickled functions — but the semantics
-    (fresh tracer stamped with the worker's pid, snapshot shipped back)
-    are identical, and the wire round-trip property tests pin the two
-    transports to the same results.
-    """
-    tracer = Tracer() if trace else None
-    result = allocate_function(
-        function, target, method, tracer=tracer, **kwargs
-    )
-    return result, (tracer.snapshot() if trace else None)
 
 
 def _fresh_copy(function: Function) -> Function:

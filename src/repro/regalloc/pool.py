@@ -226,15 +226,8 @@ def _allocate_one(wire_text, target, method, kwargs, trace):
             tracer.instant("trace-id", cat="meta", trace_id=trace)
     result = allocate_function(function, target, method, tracer=tracer,
                                **kwargs)
-    snapshot = tracer.snapshot() if trace else None
-    if result.graphs is not None:
-        blob = pickle.dumps(
-            (result.function, result.assignment, result.stats, result.graphs)
-        )
-        return ("pickle", blob, snapshot)
-    colors = {vreg.id: color for vreg, color in result.assignment.items()}
-    return ("wire", encode_function(result.function), colors, result.stats,
-            snapshot)
+    return encode_result_response(
+        result, tracer.snapshot() if trace else None)
 
 
 def _allocate_batch(wire_texts, target, method, kwargs, trace):
@@ -286,20 +279,20 @@ def materialize_response(response, target, method_name):
     )
 
 
-def encode_result_response(result):
-    """The response tuple an in-process :class:`AllocationResult` would
-    have produced had it come from a worker — the same transport
-    ``_allocate_one`` emits, so the durability journal can record
-    serial-path completions and replay them through
-    :func:`materialize_response` bit-identically."""
+def encode_result_response(result, snapshot=None):
+    """The response tuple for an :class:`AllocationResult` — what
+    ``_allocate_one`` ships back from a worker, and what the durability
+    journal records for serial-path completions, so both replay through
+    :func:`materialize_response` bit-identically.  ``snapshot`` is the
+    worker's trace snapshot, ``None`` when untraced."""
     if result.graphs is not None:
         blob = pickle.dumps(
             (result.function, result.assignment, result.stats, result.graphs)
         )
-        return ("pickle", blob, None)
+        return ("pickle", blob, snapshot)
     colors = {vreg.id: color for vreg, color in result.assignment.items()}
     return ("wire", encode_function(result.function), colors, result.stats,
-            None)
+            snapshot)
 
 
 # ----------------------------------------------------------------------
@@ -530,11 +523,11 @@ class WorkerPool:
             _allocate_batch, (wire_texts, target, method, kwargs, trace)
         )
 
+    # No caller in src/; kept because perfbench's graph hooks resolve it.
     def submit_call(self, func, args):
         """Dispatch one plain ``func(*args)`` call; returns the
         ``AsyncResult``.  The generic sibling of :meth:`submit` for work
-        that is not a function-allocation batch — the conflict-repair
-        engine ships coloring chunks through this (``func`` must be a
+        that is not a function-allocation batch (``func`` must be a
         picklable module-level callable)."""
         pool = self._ensure()
         self.batches += 1

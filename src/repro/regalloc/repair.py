@@ -1,4 +1,4 @@
-"""Parallel conflict-repair coloring — the third allocation strategy.
+"""Conflict-repair coloring — the third allocation strategy.
 
 Chaitin and Briggs both serialize coloring behind a global simplify
 stack, which is fine at function scale but leaves nothing to parallelize
@@ -23,11 +23,7 @@ structure:
    fixed-size *chunks*.  Within a chunk, coloring is sequential (each
    vertex sees the tentative choices of earlier vertices in its own
    chunk); across chunks, only colors finalized in earlier rounds are
-   visible.  Chunks are independent, so they can run on the PR-6
-   :class:`~repro.regalloc.pool.WorkerPool` — and because the chunk
-   boundaries are a function of ``chunk_size`` and the order alone
-   (never of the worker count), the serial and pooled paths are
-   bit-identical by construction.
+   visible.
 2. **Detect.**  A conflict is an edge whose endpoints picked the same
    color this round.  The endpoint earlier in the coloring order keeps
    its color; the later one re-enters the active set.
@@ -43,46 +39,41 @@ estimate).  The driver's spill-code/rebuild cycle then plays the role of
 Abu-Khzam & Chahine's edit-repair loop: the next pass re-colors the
 perturbed graph from scratch, minus the spilled ranges.
 
-``jobs=0`` auto-detects like :func:`repro.regalloc.pool.resolve_jobs`:
-on a box with one CPU (or inside a daemonized pool worker, which cannot
-have children) the engine stays serial; an explicit ``jobs >= 2`` forces
-the pool.  Either way the result is identical.
+Every round runs in the calling process.  The chunks are independent and
+could go to the :class:`~repro.regalloc.pool.WorkerPool`, but on a 2-vCPU
+host pooled rounds measured slower (10^5 nodes: median 2.17 s pooled
+against 1.86 s in process; 10^6 nodes: 41.8–43.5 s against 30.5–38.4 s).
+Chunk boundaries depend on ``chunk_size`` and the order alone, so where
+the chunks run never changed an answer; the rounds, not one sequential
+sweep, are what fix the colorings.
 """
 
 from __future__ import annotations
 
-import os
 import time
 
 from repro.errors import InvariantError
 from repro.observability.trace import coerce_tracer
 from repro.regalloc.chaitin import ClassAllocation
-from repro.regalloc.matula import smallest_last_order
+from repro.regalloc.matula import _validate_order, smallest_last_order
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "DEFAULT_MAX_ROUNDS",
-    "PARALLEL_THRESHOLD",
     "RepairOutcome",
     "RepairAllocator",
     "repair_color",
     "verify_coloring",
 ]
 
-#: Vertices speculated per chunk.  Part of the algorithm (chunk
-#: boundaries decide which tentative choices are mutually visible), NOT
-#: a tuning knob the worker count may bend — that is what keeps serial
-#: and pooled runs bit-identical.
+#: Vertices speculated per chunk.  Part of the algorithm: chunk
+#: boundaries decide which tentative choices are mutually visible.
 DEFAULT_CHUNK_SIZE = 4096
 
-#: Parallel speculation rounds before the sequential settling sweep.
-#: Rokos et al. observe convergence in a handful of rounds on random
-#: graphs; the budget only bounds the tail.
+#: Speculation rounds before the sequential settling sweep.  Rokos et
+#: al. observe convergence in a handful of rounds on random graphs; the
+#: budget only bounds the tail.
 DEFAULT_MAX_ROUNDS = 32
-
-#: Below this many active vertices a round is colored serially even when
-#: a pool is available — dispatch would cost more than the coloring.
-PARALLEL_THRESHOLD = 100_000
 
 
 class RepairOutcome:
@@ -91,8 +82,7 @@ class RepairOutcome:
     __slots__ = ("colors", "spilled", "rounds", "conflicts",
                  "parallel_rounds", "sweep_settled")
 
-    def __init__(self, colors, spilled, rounds, conflicts,
-                 parallel_rounds, sweep_settled):
+    def __init__(self, colors, spilled, rounds, conflicts, sweep_settled):
         #: color per vertex (-1 = uncolored, i.e. in ``spilled``).
         self.colors = colors
         #: vertices left uncolorable at k colors, in coloring order —
@@ -102,28 +92,25 @@ class RepairOutcome:
         self.rounds = rounds
         #: total conflict-edge losers re-colored across all rounds.
         self.conflicts = conflicts
-        #: rounds whose speculation ran on the worker pool.
-        self.parallel_rounds = parallel_rounds
+        #: always 0 (every round runs in process); perfbench reads it.
+        self.parallel_rounds = 0
         #: vertices finalized by the sequential settling sweep.
         self.sweep_settled = sweep_settled
 
 
-def _speculate_chunk(pairs, colors, k, color_order):
+def _speculate_chunk(chunk, adjacency, colors, color_order):
     """First-fit color one chunk given frozen ``colors``.
 
-    ``pairs`` is the chunk's ``(vertex, adjacency_row)`` sequence, in
-    coloring order.  Vertices earlier in the *same* chunk are visible
-    through ``local``; everything else sees only finalized colors.
-    Returns one tentative color per vertex, -1 when every color in
-    ``color_order`` is taken.  Must stay a pure function of its
-    arguments: it is the unit of work shipped to pool workers, and the
-    serial path calls the very same code.
+    ``chunk`` lists the chunk's vertices in coloring order.  Vertices
+    earlier in the *same* chunk are visible through ``local``; everything
+    else sees only finalized colors.  Returns one tentative color per
+    vertex, -1 when every color in ``color_order`` is taken.
     """
     local: dict = {}
     out = []
-    for vertex, row in pairs:
+    for vertex in chunk:
         taken = 0
-        for neighbor in row:
+        for neighbor in adjacency[vertex]:
             color = colors[neighbor]
             if color < 0:
                 color = local.get(neighbor, -1)
@@ -139,60 +126,10 @@ def _speculate_chunk(pairs, colors, k, color_order):
     return out
 
 
-def _speculate_groups(groups, colors, k, color_order, trace=None):
-    """Pool entry point: speculate several chunks in one dispatch, so a
-    round ships the (large) ``colors`` snapshot once per worker task
-    instead of once per chunk.
-
-    Returns ``(results, snapshot)``.  ``trace`` is ``None`` on the
-    untraced hot path (snapshot ``None``, zero overhead); when the
-    parent's tracer is live it is a dict of span args (round, trace id)
-    and the worker records a ``repair-chunks`` span in its own process
-    lane, shipping ``tracer.snapshot()`` back for the parent to absorb.
-    Tracing never touches the chunk results — the speculated colors are
-    a pure function of ``(groups, colors, k, color_order)`` either way.
-    """
-    if trace is None:
-        return ([_speculate_chunk(chunk, colors, k, color_order)
-                 for chunk in groups], None)
-    from repro.observability.trace import Tracer
-
-    tracer = Tracer()
-    tracer.trace_id = trace.get("trace_id")
-    span_args = {key: value for key, value in trace.items()
-                 if value is not None}
-    with tracer.span("repair-chunks", cat="phase",
-                     chunks=len(groups),
-                     vertices=sum(len(chunk) for chunk in groups),
-                     **span_args):
-        results = [_speculate_chunk(chunk, colors, k, color_order)
-                   for chunk in groups]
-    return (results, tracer.snapshot())
-
-
-def _auto_jobs() -> int:
-    """The engine's jobs=0 policy: one worker per CPU, but serial on a
-    1-core box (same rationale as :func:`repro.regalloc.pool
-    .resolve_jobs` — pooled dispatch without real cores is pure
-    overhead)."""
-    cpus = os.cpu_count() or 1
-    return 1 if cpus <= 1 else cpus
-
-
-def _in_daemon() -> bool:
-    """True inside a daemonized pool worker, which may not spawn child
-    processes — the strategy must fall back to serial speculation when
-    ``allocate_module(jobs=N)`` runs it inside the function-level pool."""
-    import multiprocessing
-
-    return multiprocessing.current_process().daemon
-
-
 def repair_color(adjacency, k, *, precolored=0, order=None,
                  color_order=None, seed=None,
                  chunk_size=DEFAULT_CHUNK_SIZE,
-                 max_rounds=DEFAULT_MAX_ROUNDS, jobs=0,
-                 parallel_threshold=PARALLEL_THRESHOLD,
+                 max_rounds=DEFAULT_MAX_ROUNDS,
                  tracer=None) -> RepairOutcome:
     """Conflict-repair color a plain adjacency-list graph with ``k``
     colors.
@@ -201,15 +138,12 @@ def repair_color(adjacency, k, *, precolored=0, order=None,
     registers with ``colors[i] == i`` (the
     :class:`~repro.regalloc.interference.InterferenceGraph` convention);
     they are never recolored or spilled.  ``order`` overrides the
-    coloring order (reversed smallest-last by default); ``seed`` shuffles
-    it reproducibly.  ``jobs`` follows the CLI convention: 0 auto-detects
-    (serial on a 1-core box), 1 forces serial, >= 2 forces the worker
-    pool once a round's active set reaches ``parallel_threshold``.
+    coloring order (reversed smallest-last by default) and must be a
+    permutation of ``range(len(adjacency))``; precolored nodes in it are
+    skipped.  ``seed`` shuffles the order reproducibly.
 
     The result is a deterministic function of ``(adjacency, k,
-    precolored, order, color_order, seed, chunk_size, max_rounds)`` —
-    ``jobs`` and ``parallel_threshold`` only decide where chunks run,
-    never what they compute.
+    precolored, order, color_order, seed, chunk_size, max_rounds)``.
     """
     n = len(adjacency)
     if not 0 <= precolored <= n:
@@ -228,6 +162,7 @@ def repair_color(adjacency, k, *, precolored=0, order=None,
         removal = smallest_last_order(adjacency)
         order = [node for node in reversed(removal) if node >= precolored]
     else:
+        _validate_order(order, n)
         order = [node for node in order if node >= precolored]
     if seed is not None:
         import random
@@ -238,42 +173,20 @@ def repair_color(adjacency, k, *, precolored=0, order=None,
     for index, node in enumerate(order):
         position[node] = index
 
-    if jobs == 0:
-        jobs = _auto_jobs()
-    pool = None
-    if jobs >= 2 and not _in_daemon():
-        from repro.regalloc.pool import get_pool
-
-        pool = get_pool(jobs)
-
     active = order
     rounds = 0
     conflicts = 0
-    parallel_rounds = 0
     tentative = [-1] * n
 
     while active and rounds < max_rounds:
         rounds += 1
         chunks = [active[start:start + chunk_size]
                   for start in range(0, len(active), chunk_size)]
-        use_pool = (pool is not None and len(chunks) > 1
-                    and len(active) >= parallel_threshold)
         with tracer.span("repair-round", cat="phase", round=rounds,
-                         active=len(active), chunks=len(chunks),
-                         parallel=use_pool):
-            if use_pool:
-                parallel_rounds += 1
-                speculated = _dispatch_chunks(pool, chunks, adjacency,
-                                              colors, k, color_order, jobs,
-                                              tracer=tracer, round_no=rounds)
-            else:
-                speculated = [
-                    _speculate_chunk(
-                        zip(chunk, map(adjacency.__getitem__, chunk)),
-                        colors, k, color_order)
-                    for chunk in chunks
-                ]
-            for chunk, tents in zip(chunks, speculated):
+                         active=len(active), chunks=len(chunks)):
+            for chunk in chunks:
+                tents = _speculate_chunk(chunk, adjacency, colors,
+                                         color_order)
                 for node, tent in zip(chunk, tents):
                     tentative[node] = tent
 
@@ -321,9 +234,8 @@ def repair_color(adjacency, k, *, precolored=0, order=None,
     spilled = []
     if active:
         with tracer.span("repair-sweep", cat="phase", active=len(active)):
-            tents = _speculate_chunk(
-                zip(active, map(adjacency.__getitem__, active)),
-                colors, k, color_order)
+            tents = _speculate_chunk(active, adjacency, colors,
+                                     color_order)
             for node, tent in zip(active, tents):
                 if tent >= 0:
                     colors[node] = tent
@@ -332,47 +244,7 @@ def repair_color(adjacency, k, *, precolored=0, order=None,
                     spilled.append(node)
     tracer.counter("repair.spilled", len(spilled))
 
-    return RepairOutcome(colors, spilled, rounds, conflicts,
-                         parallel_rounds, sweep_settled)
-
-
-def _dispatch_chunks(pool, chunks, adjacency, colors, k, color_order,
-                     jobs, tracer=None, round_no=0):
-    """Run one round's chunks on the worker pool.
-
-    Chunks are grouped contiguously into at most ``2 * jobs`` tasks so
-    the ``colors`` snapshot (the dominant payload at graph scale) ships
-    once per task, not once per chunk.  Grouping is pure packaging —
-    each chunk is still speculated independently — so the flattened
-    result is identical to the serial path.
-
-    With a live ``tracer``, each task carries a trace context and ships
-    its worker-lane span snapshot back, so the merged trace shows this
-    round's chunk work per worker pid next to the parent's
-    ``repair-round`` span.
-    """
-    tracer = coerce_tracer(tracer)
-    trace_ctx = None
-    if tracer.enabled:
-        trace_ctx = {"round": round_no, "trace_id": tracer.trace_id}
-    tasks = max(1, min(len(chunks), jobs * 2))
-    per_task = (len(chunks) + tasks - 1) // tasks
-    groups = [chunks[start:start + per_task]
-              for start in range(0, len(chunks), per_task)]
-    pending = []
-    for group in groups:
-        payload = [[(node, adjacency[node]) for node in chunk]
-                   for chunk in group]
-        pending.append(
-            pool.submit_call(_speculate_groups,
-                             (payload, colors, k, color_order, trace_ctx)))
-    speculated = []
-    for handle in pending:
-        results, snapshot = handle.get()
-        speculated.extend(results)
-        if snapshot is not None:
-            tracer.absorb(snapshot)
-    return speculated
+    return RepairOutcome(colors, spilled, rounds, conflicts, sweep_settled)
 
 
 def verify_coloring(adjacency, colors, k, spilled=(), precolored=0):
@@ -427,13 +299,9 @@ class RepairAllocator:
     guarantees = ()
 
     def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE,
-                 max_rounds: int = DEFAULT_MAX_ROUNDS, jobs: int = 0,
-                 parallel_threshold: int = PARALLEL_THRESHOLD,
-                 seed=None):
+                 max_rounds: int = DEFAULT_MAX_ROUNDS, seed=None):
         self.chunk_size = chunk_size
         self.max_rounds = max_rounds
-        self.jobs = jobs
-        self.parallel_threshold = parallel_threshold
         self.seed = seed
 
     def allocate_class(self, graph, costs, color_order=None,
@@ -448,8 +316,7 @@ class RepairAllocator:
             outcome = repair_color(
                 graph.adj_list, k, precolored=k, color_order=color_order,
                 seed=self.seed, chunk_size=self.chunk_size,
-                max_rounds=self.max_rounds, jobs=self.jobs,
-                parallel_threshold=self.parallel_threshold, tracer=tracer,
+                max_rounds=self.max_rounds, tracer=tracer,
             )
         elapsed = time.perf_counter() - started
         colors = {

@@ -15,8 +15,8 @@ Three families, per the PR-9 issue:
    so a spill on a colorable graph is counted as a heuristic gap, the
    same book-keeping the fuzz loop applies to Briggs.
 3. **Seeded determinism** — same seed, same chunk size: byte-identical
-   colorings, run to run and serial vs chunked (the cross-chunk
-   conflict pattern is a function of the order alone).
+   colorings run to run (the cross-chunk conflict pattern is a function
+   of the order alone).
 """
 
 import random
@@ -140,17 +140,3 @@ class TestSeededDeterminism:
         second = repair_color(adjacency, k, seed=seed, chunk_size=4)
         assert first.colors == second.colors
         assert first.spilled == second.spilled
-
-    @given(plain_graph())
-    @settings(max_examples=60, deadline=None)
-    def test_chunked_semantics_independent_of_jobs_parameter(self, case):
-        # jobs decides where chunks *run*, never what they compute:
-        # jobs=1 and jobs=0 (auto) must agree exactly.  (True pool
-        # dispatch parity is covered by the seeded 4k-node test in
-        # tests/regalloc/test_repair.py — spawning pools per hypothesis
-        # example would be absurd.)
-        adjacency, k = case
-        serial = repair_color(adjacency, k, chunk_size=3, jobs=1)
-        auto = repair_color(adjacency, k, chunk_size=3, jobs=0)
-        assert serial.colors == auto.colors
-        assert serial.spilled == auto.spilled

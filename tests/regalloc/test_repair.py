@@ -1,10 +1,12 @@
-"""The parallel conflict-repair strategy (PR 9).
+"""The conflict-repair strategy.
 
 Three layers: the plain-graph engine (round structure, conflict rule,
-determinism, serial == pooled), the invariant helper, and the
+determinism, rounds in process), the invariant helper, and the
 ``RepairAllocator`` strategy adapter through the driver (precolored
 clique respected, paranoia-clean, spill ranking by cost/degree).
 """
+
+import multiprocessing
 
 import pytest
 
@@ -13,7 +15,7 @@ from repro.frontend import compile_source
 from repro.machine.target import rt_pc
 from repro.regalloc import allocate_function, allocate_module
 from repro.regalloc.matula import smallest_last_order
-from repro.regalloc.pool import shutdown_pools
+from repro.regalloc.pool import active_pools, shutdown_pools
 from repro.regalloc.repair import (
     RepairAllocator,
     repair_color,
@@ -105,6 +107,25 @@ class TestEngine:
             repair_color([[]], 2, chunk_size=0)
         with pytest.raises(ValueError, match="precolored"):
             repair_color([[]], 2, precolored=5)
+        # The order must be a permutation of the vertices: a short order
+        # or a repeated vertex would leave a node neither colored nor
+        # spilled, an unknown vertex would index past the graph.
+        with pytest.raises(ValueError, match="order has 1 entries"):
+            repair_color([[1], [0]], 2, order=[0])
+        with pytest.raises(ValueError, match="order has 4 entries"):
+            repair_color([[1], [0], []], 2, order=[0, 0, 1, 2])
+        with pytest.raises(ValueError, match="out-of-range vertex 5"):
+            repair_color([[1], [0]], 2, order=[0, 5])
+
+    def test_graph_scale_rounds_start_no_worker_process(self):
+        # Every speculation round runs in the calling process, however
+        # large the graph and however many CPUs the host has.
+        shutdown_pools()
+        graph = generate_graph(100_000, 8.0, seed=9)
+        outcome = repair_color(graph.adjacency, 16)
+        assert active_pools() == []
+        assert multiprocessing.active_children() == []
+        assert outcome.parallel_rounds == 0
 
 
 class TestDeterminism:
@@ -121,33 +142,6 @@ class TestDeterminism:
             outcome = repair_color(graph.adjacency, 8, seed=seed)
             verify_coloring(graph.adjacency, outcome.colors, 8,
                             outcome.spilled)
-
-    def test_serial_and_pooled_are_bit_identical(self):
-        # Explicit jobs=2 forces the pool even on a 1-core box;
-        # parallel_threshold=1 makes every round dispatch.  The chunk
-        # semantics (fixed chunk_size over the order) are independent of
-        # where chunks run, so the colorings must match byte for byte.
-        graph = generate_graph(4_000, 8.0, seed=42)
-        serial = repair_color(graph.adjacency, 8, seed=7, chunk_size=256,
-                              jobs=1)
-        try:
-            pooled = repair_color(graph.adjacency, 8, seed=7,
-                                  chunk_size=256, jobs=2,
-                                  parallel_threshold=1)
-        finally:
-            shutdown_pools()
-        assert pooled.parallel_rounds > 0
-        assert serial.colors == pooled.colors
-        assert serial.spilled == pooled.spilled
-
-    def test_jobs_zero_is_serial_on_one_core(self, monkeypatch):
-        import repro.regalloc.repair as repair_mod
-
-        monkeypatch.setattr(repair_mod.os, "cpu_count", lambda: 1)
-        graph = generate_graph(300, 6.0, seed=2)
-        outcome = repair_color(graph.adjacency, 8, jobs=0,
-                               parallel_threshold=1)
-        assert outcome.parallel_rounds == 0
 
 
 class TestVerifyColoring:
