@@ -5,7 +5,8 @@
 #                        regenerations, workload simulations, differentials)
 #   make verify-faults — sweep the fault-injection registry (every fault
 #                        must be detected or visibly degraded) and run
-#                        the robustness + fault-injection suites
+#                        the robustness, fault-injection and worker-pool
+#                        suites (@slow tests included)
 #   make fuzz          — bounded smoke-fuzz campaign: fixed seed, both
 #                        allocators under full paranoia, exact oracles,
 #                        minimizing shrinker; bundles in results/fuzz/
@@ -54,7 +55,8 @@ test-fast:
 verify-faults:
 	PYTHONPATH=src $(PYTHON) -m repro verify --inject all
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q \
-		tests/robustness tests/properties/test_fault_injection.py
+		tests/robustness tests/properties/test_fault_injection.py \
+		tests/regalloc/test_pool.py
 
 fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed $(FUZZ_SEED) \

@@ -189,12 +189,11 @@ def _serve_replay(args) -> int:
     from repro.ir.wire import decode_module
     from repro.observability import Tracer, write_chrome_trace
     from repro.service.protocol import parse_allocate_request
+    from repro.service.server import unanswered_requests
 
     records, recovery = read_journal(args.serve_replay)
     requests = [r for r in records if r.get("type") == "request"]
-    answered = {r.get("jid") for r in records
-                if r.get("type") == "response"}
-    backlog = [r for r in requests if r.get("jid") not in answered]
+    backlog = unanswered_requests(records)
     if args.replay_all:
         backlog = requests
     elif not backlog and requests:

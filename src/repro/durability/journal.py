@@ -209,11 +209,9 @@ def _validate_line(line: bytes):
         return None
     if length < 0 or len(data) != length:
         return None
-    try:
-        expected = digest.decode("ascii").lower()
-    except UnicodeDecodeError:
-        return None
-    if hashlib.sha256(data).hexdigest() != expected:
+    # Exact bytes: the writer emits lowercase hex, so a flipped case bit
+    # in a hex letter is damage even though it names the same digest.
+    if hashlib.sha256(data).hexdigest().encode("ascii") != digest:
         return None
     try:
         payload = json.loads(data.decode("utf-8"))

@@ -13,7 +13,7 @@ completes it asserts the durability contract end to end:
 * **no worker outlived any parent** (the supervisor checks journaled
   worker pids after every death);
 * **bounded rework**: re-executed functions never exceed
-  ``(kills delivered + 1) x max in-flight batch``, i.e. death only ever
+  ``(kills delivered + 1) x max in-flight functions``, i.e. death only ever
   costs the work that was in flight, never completed work.
 
 Kill points are ascending global journal-append indices with gaps of at
@@ -182,8 +182,8 @@ class TortureReport:
 
 def _max_in_flight(records) -> int:
     """Largest set of functions ever simultaneously started-without-
-    outcome across the journal timeline — the observed in-flight batch
-    size that bounds how much work one death can orphan."""
+    outcome across the journal timeline — the observed in-flight count
+    that bounds how much work one death can orphan."""
     in_flight: set = set()
     peak = 0
     for record in records:

@@ -148,7 +148,7 @@ def pool_diagnostics() -> dict | None:
 
     The pool (:mod:`repro.regalloc.pool`) is process-global state, so
     these numbers cover every ``allocate_module(jobs>1)`` call so far —
-    dispatch/batch counts, warm starts and restarts per pool, and the
+    dispatch counts, warm starts and restarts per pool, and the
     content-addressed cache's hit/miss tallies.
     """
     from repro.durability.journal import journal_counters

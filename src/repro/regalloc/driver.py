@@ -73,6 +73,9 @@ from repro.regalloc.stats import AllocationStats, PassStats
 
 _CLASSES = (RClass.INT, RClass.FLOAT)
 
+#: Passes of the Figure-4 cycle before a function is declared uncolorable.
+MAX_PASSES = 30
+
 
 def _method_for(name_or_method):
     if isinstance(name_or_method, str):
@@ -215,7 +218,6 @@ def allocate_function(
     renumber: bool = True,
     rematerialize: bool = False,
     split_ranges: bool = False,
-    max_passes: int = 30,
     validate: bool = False,
     paranoia: str = "off",
     tracer=None,
@@ -250,8 +252,8 @@ def allocate_function(
                          method=strategy.name):
             return _run_cycle(
                 function, target, strategy, coalesce, renumber,
-                rematerialize, split_ranges, max_passes, validate,
-                paranoia, tracer, state,
+                rematerialize, split_ranges, validate, paranoia, tracer,
+                state,
             )
     except AllocationError as error:
         raise error.with_context(
@@ -263,8 +265,8 @@ def allocate_function(
 
 
 def _run_cycle(function, target, strategy, coalesce, renumber,
-               rematerialize, split_ranges, max_passes, validate,
-               paranoia, tracer, state) -> AllocationResult:
+               rematerialize, split_ranges, validate, paranoia, tracer,
+               state) -> AllocationResult:
     """The Figure-4 cycle itself — the body of :func:`allocate_function`,
     split out so the tracer's span hierarchy nests at plain indentation.
     ``state`` carries the phase/pass a failure happened in back to the
@@ -297,7 +299,7 @@ def _run_cycle(function, target, strategy, coalesce, renumber,
         # aggressive strategy settles.
         build_settled = False
 
-        for pass_index in range(1, max_passes + 1):
+        for pass_index in range(1, MAX_PASSES + 1):
             with tracer.span(f"pass:{pass_index}", cat="pass"):
                 pass_stats = PassStats(pass_index)
                 stats.passes.append(pass_stats)
@@ -426,7 +428,7 @@ def _run_cycle(function, target, strategy, coalesce, renumber,
                 pass_stats.spill_time = time.perf_counter() - started
         else:
             raise AllocationError(
-                f"{function.name}: no coloring after {max_passes} passes "
+                f"{function.name}: no coloring after {MAX_PASSES} passes "
                 f"({strategy.name}, target {target.name})",
                 context={"phase": "driver"},
             )
@@ -551,8 +553,8 @@ class ModuleAllocation:
 
 
 def _fresh_copy(function: Function) -> Function:
-    """An independent deep copy (pickle round trip, the same mechanism
-    that ships functions to workers) so retries start from pristine IR."""
+    """An independent deep copy (a pickle round trip) so retries start
+    from pristine IR."""
     return pickle.loads(pickle.dumps(function))
 
 
@@ -709,23 +711,25 @@ def _parallel_results(module, functions, target, method, kwargs, jobs,
                       tracer=NULL_TRACER, cache=True, checkpoint=None):
     """Allocate ``functions`` over the persistent worker pool.
 
-    Functions travel to the warm pool (:mod:`repro.regalloc.pool`) as
-    compact wire text, batched largest-first; responses carry the
-    allocated function's wire text plus the assignment and stats, and
-    the parent decodes and swaps the allocated copies into the module so
-    every downstream consumer (simulator, encoder) sees one consistent
-    object graph.  With ``cache`` (and a string method name, tracing
-    off), finished responses are stored content-addressed and replayed
-    on identical requests without dispatching at all.
+    Each function travels to the warm pool (:mod:`repro.regalloc.pool`)
+    as compact wire text, one task per function, submitted largest
+    first; responses carry the allocated function's wire text plus the
+    assignment and stats, and the parent decodes and swaps the allocated
+    copies into the module so every downstream consumer (simulator,
+    encoder) sees one consistent object graph.  With ``cache`` (and a
+    string method name, tracing off), finished responses are stored
+    content-addressed and replayed on identical requests without
+    dispatching at all.
 
     Failure handling is *per function*: a crashed worker is retried
-    in-process up to ``retries`` times; a batch exceeding its share of
-    ``timeout`` is abandoned and the wedged pool restarted (terminated,
-    respawned lazily — a hung process cannot outlive the call); whatever
-    still fails goes through ``policy``.  Returns ``(results, reason)``
-    where ``results`` is ``None`` only when the pool cannot be used at
-    all (non-picklable strategy or target) — that reason is recorded,
-    warned about, and the caller runs the whole module serially.
+    in-process up to ``retries`` times; a function whose response takes
+    longer than ``timeout`` is abandoned and the wedged pool restarted
+    (terminated, respawned lazily — a hung process cannot outlive the
+    call); whatever still fails goes through ``policy``.  Returns
+    ``(results, reason)`` where ``results`` is ``None`` only when the
+    pool cannot be used at all (non-picklable strategy or target) — that
+    reason is recorded, warned about, and the caller runs the whole
+    module serially.
     """
     import multiprocessing
 
@@ -746,53 +750,53 @@ def _parallel_results(module, functions, target, method, kwargs, jobs,
     cacheable = cache and isinstance(method, str) and not tracer.enabled
     workers = pool_mod.resolve_jobs(jobs, len(functions))
 
-    def collect(function, response, started, ckpt_key=None):
-        """Materialize one response into ``results``, or run it through
-        retry + policy; mirrors the per-function semantics of the
-        pre-pool driver.  With a checkpoint attached, the outcome —
-        success, absorbed failure, degraded substitute — is journaled
+    def collect(function, started, ckpt_key, response=None, error=None,
+                phase="worker-crash"):
+        """Put one function's outcome into ``results``: a ``response``
+        is materialized; an ``error`` from a crashed worker gets the
+        in-process retry and then ``policy``; a ``worker-timeout`` error
+        goes straight to ``policy``, since retrying a hang in process
+        would wedge the parent.  With a checkpoint attached, the outcome
+        — success, absorbed failure, degraded substitute — is journaled
         so a killed process resumes from it."""
         before = len(failures)
-        journaled_response = None
-        if response[0] == "error":
-            result, attempts, retry_error = _serial_retry(
-                function, target, method, kwargs, retries
-            )
-            if result is None:
-                result = _handle_failure(
-                    function, target, method_name,
-                    retry_error or response[1], policy, failures,
-                    bundle_dir, elapsed=time.perf_counter() - started,
-                    retries=attempts, phase="worker-crash",
-                )
-        else:
+        if error is None:
             result, snapshot = pool_mod.materialize_response(
                 response, target, method_name
             )
-            journaled_response = response
             if snapshot is not None:
                 tracer.absorb(snapshot)
+        else:
+            result, attempts = None, 0
+            if phase == "worker-crash":
+                result, attempts, retry_error = _serial_retry(
+                    function, target, method, kwargs, retries
+                )
+                error = retry_error or error
+            if result is None:
+                result = _handle_failure(
+                    function, target, method_name, error, policy, failures,
+                    bundle_dir, elapsed=time.perf_counter() - started,
+                    retries=attempts, phase=phase,
+                )
         if result is not None:
             module.functions[result.function.name] = result.function
             results[result.function.name] = result
-        if checkpoint is not None and ckpt_key is not None:
+        if ckpt_key is not None:
             new_failures = failures[before:]
             if new_failures:
                 checkpoint.mark_failures(
                     ckpt_key, function.name, new_failures,
                     substitute=result,
                 )
-            elif result is not None:
-                if journaled_response is not None:
-                    checkpoint.mark_response(
-                        ckpt_key, function.name, journaled_response
-                    )
-                else:
-                    checkpoint.mark_result(ckpt_key, result)
+            elif error is None:
+                checkpoint.mark_response(ckpt_key, function.name, response)
+            else:  # a retry recovered the crash in process
+                checkpoint.mark_result(ckpt_key, result)
 
-    # Requests: (function, wire text, cache key or None, checkpoint
-    # key or None).  Journal replays and cache hits are materialized
-    # immediately; only misses reach the pool.
+    # Requests: (function, wire text, cache key or None).  Journal
+    # replays and cache hits are materialized immediately; only misses
+    # reach the pool.
     dispatch = []
     for function in functions:
         if checkpoint is not None:
@@ -807,12 +811,13 @@ def _parallel_results(module, functions, target, method, kwargs, jobs,
             pool_mod.cache_key(wire_text, target, method, kwargs)
             if cacheable else None
         )
-        ckpt_key = None
         hit = pool_mod.RESPONSE_CACHE.get(key)
         if hit is not None:
-            if checkpoint is not None:
-                ckpt_key = checkpoint.mark_start(function)
-            collect(function, hit, time.perf_counter(), ckpt_key)
+            ckpt_key = (
+                checkpoint.mark_start(function) if checkpoint is not None
+                else None
+            )
+            collect(function, time.perf_counter(), ckpt_key, response=hit)
         else:
             dispatch.append((function, wire_text, key))
 
@@ -826,25 +831,18 @@ def _parallel_results(module, functions, target, method, kwargs, jobs,
         return ordered, None
 
     pool = pool_mod.get_pool(workers)
-    batches = pool_mod.plan_batches(
-        dispatch, workers, weight=lambda item: len(item[1])
-    )
-    if checkpoint is not None:
-        # Start records go down *before* dispatch — a kill between here
-        # and collection re-executes exactly the in-flight functions —
-        # and the worker pids are journaled so the torture harness can
-        # prove no worker outlives a killed parent.
-        batches = [
-            [(function, text, key, checkpoint.mark_start(function))
-             for function, text, key in batch]
-            for batch in batches
-        ]
-    else:
-        batches = [
-            [(function, text, key, None)
-             for function, text, key in batch]
-            for batch in batches
-        ]
+    # Largest first (wire size tracks allocation work; the sort is
+    # stable, so ties keep module order): the pool's FIFO queue then
+    # starts the long functions first.
+    dispatch.sort(key=lambda item: len(item[1]), reverse=True)
+    # Start records go down *before* dispatch — a kill between here and
+    # collection re-executes exactly the in-flight functions — and the
+    # worker pids are journaled after it so the torture harness can
+    # prove no worker outlives a killed parent.
+    ckpt_keys = [
+        checkpoint.mark_start(function) if checkpoint is not None else None
+        for function, _text, _key in dispatch
+    ]
     # The trace flag doubles as correlation: a service-stamped trace id
     # rides along so worker-lane spans carry the request that caused
     # them (workers only truth-test it, so the bool behavior is intact).
@@ -852,68 +850,43 @@ def _parallel_results(module, functions, target, method, kwargs, jobs,
         getattr(tracer, "trace_id", None) or True
     )
     pending = [
-        (batch,
-         pool.submit([text for _f, text, _k, _c in batch], target, method,
-                     kwargs, trace_flag))
-        for batch in batches
+        pool.submit(text, target, method, kwargs, trace_flag)
+        for _function, text, _key in dispatch
     ]
-    if checkpoint is not None and pending:
+    if checkpoint is not None:
         checkpoint.mark_workers(pool.worker_pids())
     wedged = False
     try:
-        for batch, async_result in pending:
+        for (function, _text, key), ckpt_key, async_result in zip(
+                dispatch, ckpt_keys, pending):
             started = time.perf_counter()
-            budget = None if timeout is None else timeout * len(batch)
             try:
-                responses = async_result.get(budget)
+                response = async_result.get(timeout)
             except KeyboardInterrupt:
                 wedged = True
                 raise
             except multiprocessing.TimeoutError:
-                # Some worker is wedged in a non-terminating allocation;
-                # do not retry in-process (it would wedge the parent).
-                # Every function in the lost batch is charged the
-                # timeout; the pool is restarted on the way out.
+                # A worker is wedged in a non-terminating allocation;
+                # the pool is restarted on the way out.
                 wedged = True
-                elapsed = time.perf_counter() - started
-                for function, _text, _key, ckpt_key in batch:
-                    error = DriverTimeoutError(
-                        f"allocation of {function.name} exceeded "
-                        f"{timeout:g}s in a worker",
-                        context={"function": function.name,
-                                 "timeout": timeout},
-                    )
-                    before = len(failures)
-                    result = _handle_failure(
-                        function, target, method_name, error, policy,
-                        failures, bundle_dir, elapsed=elapsed,
-                        retries=0, phase="worker-timeout",
-                    )
-                    if result is not None:
-                        module.functions[function.name] = result.function
-                        results[function.name] = result
-                    if checkpoint is not None and ckpt_key is not None:
-                        checkpoint.mark_failures(
-                            ckpt_key, function.name, failures[before:],
-                            substitute=result,
-                        )
-                continue
+                error = DriverTimeoutError(
+                    f"allocation of {function.name} exceeded "
+                    f"{timeout:g}s in a worker",
+                    context={"function": function.name, "timeout": timeout},
+                )
+                collect(function, started, ckpt_key, error=error,
+                        phase="worker-timeout")
             except Exception as error:
-                # Transport-level batch loss (worker killed hard, or its
-                # response did not unpickle): per-function retry + policy,
-                # exactly as a per-function crash.
-                for function, _text, _key, ckpt_key in batch:
-                    collect(function, ("error", error), started, ckpt_key)
-                continue
-            for (function, _text, key, ckpt_key), response in zip(
-                    batch, responses):
-                if response[0] != "error":
-                    pool_mod.RESPONSE_CACHE.put(key, response)
-                collect(function, response, started, ckpt_key)
+                # The allocation raised in the worker, or its response
+                # could not be pickled back.
+                collect(function, started, ckpt_key, error=error)
+            else:
+                pool_mod.RESPONSE_CACHE.put(key, response)
+                collect(function, started, ckpt_key, response=response)
     finally:
         if wedged:
             pool.restart()
-    # Module order, independent of batch schedule.
+    # Module order, independent of dispatch order.
     ordered = {
         function.name: results[function.name]
         for function in functions if function.name in results
@@ -1024,7 +997,7 @@ def allocate_module(
                 resume=resume, tracer=tracer,
             )
     # A timeout can only be enforced from *outside* the allocation: the
-    # pool watchdog abandons a wedged batch and restarts the workers,
+    # pool watchdog abandons a wedged function and restarts the workers,
     # while the in-process serial path has no way to interrupt a
     # non-terminating strategy.  So a timeout forces the pool path even
     # for one function or jobs=1 — otherwise the caller's deadline would

@@ -32,14 +32,12 @@ per-call machinery with three pieces:
   stats ship as one pickle blob whose internal identities stay
   consistent.
 
-* **size-aware batching** (:func:`plan_batches`) — functions are sorted
-  largest-first (by wire size, a faithful proxy for allocation work)
-  and distributed over batches with a greedy longest-processing-time
-  schedule, so one straggler cannot serialize the tail and small
-  functions amortize dispatch overhead by travelling together.  The
-  plan always produces at least ``min(workers, len(items))`` batches,
-  so per-function timeout and crash attribution stay sharp on the
-  fault-injection programs.
+* **one task per function** — the driver submits each function as its
+  own pool task, largest first (by wire size, a faithful proxy for
+  allocation work), so the pool's FIFO queue starts the long functions
+  first and hands the rest to whichever worker frees up.  A worker's
+  exception travels back through the task's ``AsyncResult``, and the
+  driver's ``timeout`` bounds each function's own wait.
 
 On top of the transport sits a **content-addressed response cache**
 (:class:`ResponseCache`): the request wire text *is* a canonical digest
@@ -54,12 +52,12 @@ names (never stateful strategy objects) with tracing disabled.  The
 serial path is deliberately left uncached — it is the reference
 implementation every parallel result is compared against.
 
-Fault semantics from PR 2 are preserved end to end: workers contain
-per-function exceptions inside a batch (one crash cannot poison its
-batch-mates or the pool), timeouts are charged per function and
-terminate the wedged pool, and the driver's in-process retry and
-:class:`~repro.regalloc.driver.FailurePolicy` handling sit unchanged
-above this layer.
+Faults stay per function end to end: a crash fails only its own
+function's task (never the pool), a timeout is charged to the one
+function that exceeded it and terminates the wedged pool, and the
+driver's in-process retry and
+:class:`~repro.regalloc.driver.FailurePolicy` handling sit above this
+layer.
 """
 
 from __future__ import annotations
@@ -81,7 +79,6 @@ __all__ = [
     "shutdown_pools",
     "active_pools",
     "resolve_jobs",
-    "plan_batches",
     "encode_request",
     "cache_key",
     "materialize_response",
@@ -121,40 +118,13 @@ def resolve_jobs(jobs: int, eligible: int) -> int:
 
 
 # ----------------------------------------------------------------------
-# Request encoding and batching
+# Request encoding
 # ----------------------------------------------------------------------
 
 
 def encode_request(function) -> str:
     """The wire text shipped to a worker for one function."""
     return encode_function(function)
-
-
-def plan_batches(items: list, workers: int, weight=len) -> list:
-    """Partition ``items`` into dispatch batches, largest first.
-
-    Greedy LPT schedule: sort by descending ``weight`` (ties broken by
-    original order, so the plan is deterministic), then place each item
-    into the currently lightest batch.  At least ``min(workers,
-    len(items))`` batches come back — never fewer, so every worker gets
-    work and single-function batches keep timeout attribution exact on
-    small modules — and batches are returned heaviest first, matching
-    the order they should be dispatched in.
-    """
-    if not items:
-        return []
-    count = min(len(items), max(1, workers))
-    batches = [[] for _ in range(count)]
-    loads = [0] * count
-    decorated = sorted(
-        enumerate(items), key=lambda pair: (-weight(pair[1]), pair[0])
-    )
-    for _original_index, item in decorated:
-        lightest = loads.index(min(loads))
-        batches[lightest].append(item)
-        loads[lightest] += weight(item)
-    order = sorted(range(count), key=lambda b: -loads[b])
-    return [batches[b] for b in order if batches[b]]
 
 
 # ----------------------------------------------------------------------
@@ -201,7 +171,9 @@ def _warm_worker() -> None:
 
 
 def _allocate_one(wire_text, target, method, kwargs, trace):
-    """Allocate one wire-encoded function; returns a response tuple.
+    """Pool entry point: allocate one wire-encoded function; returns a
+    response tuple (an exception reaches the parent through the task's
+    ``AsyncResult``).
 
     * ``("wire", text, {vreg_id: color}, stats, snapshot)`` — the normal
       transport: the allocated function re-encoded, the assignment keyed
@@ -228,25 +200,6 @@ def _allocate_one(wire_text, target, method, kwargs, trace):
                                **kwargs)
     return encode_result_response(
         result, tracer.snapshot() if trace else None)
-
-
-def _allocate_batch(wire_texts, target, method, kwargs, trace):
-    """Pool entry point: allocate a batch, containing failures per
-    function — one crash yields an ``("error", exc)`` entry instead of
-    poisoning its batch-mates or killing the worker."""
-    responses = []
-    for wire_text in wire_texts:
-        try:
-            responses.append(
-                _allocate_one(wire_text, target, method, kwargs, trace)
-            )
-        except Exception as error:  # noqa: BLE001 — shipped to the parent
-            try:
-                pickle.dumps(error)
-            except Exception:
-                error = RuntimeError(repr(error))
-            responses.append(("error", error))
-    return responses
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +414,6 @@ class WorkerPool:
         self.processes = processes
         self._pool = None
         self.dispatches = 0
-        self.batches = 0
         self.warm_starts = 0
         self.restarts = 0
 
@@ -512,25 +464,23 @@ class WorkerPool:
 
     # -- dispatch ------------------------------------------------------
 
-    def submit(self, wire_texts, target, method, kwargs, trace):
-        """Dispatch one batch; returns the ``AsyncResult`` whose value
-        is the worker's list of response tuples.  ``trace`` may be a
-        bool or a request trace-id string (see :func:`_allocate_one`)."""
+    def submit(self, wire_text, target, method, kwargs, trace):
+        """Dispatch one function; returns the ``AsyncResult`` whose value
+        is the worker's response tuple.  ``trace`` may be a bool or a
+        request trace-id string (see :func:`_allocate_one`)."""
         pool = self._ensure()
-        self.batches += 1
-        self.dispatches += len(wire_texts)
+        self.dispatches += 1
         return pool.apply_async(
-            _allocate_batch, (wire_texts, target, method, kwargs, trace)
+            _allocate_one, (wire_text, target, method, kwargs, trace)
         )
 
     # No caller in src/; kept because perfbench's graph hooks resolve it.
     def submit_call(self, func, args):
         """Dispatch one plain ``func(*args)`` call; returns the
         ``AsyncResult``.  The generic sibling of :meth:`submit` for work
-        that is not a function-allocation batch (``func`` must be a
-        picklable module-level callable)."""
+        that is not a function allocation (``func`` must be a picklable
+        module-level callable)."""
         pool = self._ensure()
-        self.batches += 1
         self.dispatches += 1
         return pool.apply_async(func, args)
 
@@ -539,7 +489,6 @@ class WorkerPool:
             "processes": self.processes,
             "warm": self.warm,
             "dispatches": self.dispatches,
-            "batches": self.batches,
             "warm_starts": self.warm_starts,
             "restarts": self.restarts,
         }

@@ -318,11 +318,11 @@ def inject_perturb_spill_cost(rng, low=0.25, high=4.0):
 # Worker faults: strategies that break inside the parallel driver.  All
 # are module-level (hence picklable) so they cross the process boundary
 # the same way real strategies do.  On the persistent-pool transport
-# (PR 6, :mod:`repro.regalloc.pool`) these probes exercise the batch
-# path end to end: strategy *objects* are never response-cached, so a
-# crash always happens live in a warm worker, is contained per function
-# inside its batch, and must surface at the driver layer exactly as it
-# did on the PR-2 per-call pool — a hang additionally forces a pool
+# (:mod:`repro.regalloc.pool`) these probes exercise the per-function
+# dispatch path end to end: strategy *objects* are never
+# response-cached, so a crash always happens live in a warm worker,
+# fails only its own function's task, and must surface at the driver
+# layer as that function's failure — a hang additionally forces a pool
 # restart, which the lifecycle tests assert.
 # ----------------------------------------------------------------------
 

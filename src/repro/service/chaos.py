@@ -30,11 +30,11 @@ and cheap enough for CI.
 from __future__ import annotations
 
 import asyncio
-import os
 import pathlib
 import random
 import time
 
+from repro.durability.supervisor import process_gone
 from repro.frontend import compile_source
 from repro.machine import rt_pc
 from repro.observability.hist import HIST_BASE
@@ -553,7 +553,7 @@ def run_chaos(requests: int = 40, seed: int = 0, fault_rates=None,
     asyncio.run(main())
     # Property 2: every worker the run ever spawned is gone.
     report.leaked_workers = [
-        pid for pid in worker_pids if not _process_gone(pid)
+        pid for pid in worker_pids if not process_gone(pid)
     ]
     return report
 
@@ -599,28 +599,6 @@ def load_storm_manifest(bundle) -> dict:
     if not isinstance(manifest, dict) or "seed" not in manifest:
         raise ReproError(f"malformed storm manifest {path}")
     return manifest
-
-
-def _process_gone(pid: int, deadline: float = 5.0) -> bool:
-    """True once ``pid`` no longer exists (reaped children count)."""
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            return True
-        except PermissionError:
-            return False
-        try:
-            done, _ = os.waitpid(pid, os.WNOHANG)
-            if done == pid:
-                return True
-        except ChildProcessError:
-            # Already reaped by the pool's join; os.kill above is racy
-            # against pid reuse, so trust the reap.
-            return True
-        time.sleep(0.05)
-    return False
 
 
 # ----------------------------------------------------------------------

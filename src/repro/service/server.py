@@ -112,11 +112,26 @@ from repro.service.protocol import (
     response,
 )
 
-__all__ = ["ServiceConfig", "AllocationService", "run_server"]
+__all__ = ["ServiceConfig", "AllocationService", "run_server",
+           "unanswered_requests"]
 
 #: NDJSON line-length ceiling (16 MiB) — a runaway client cannot balloon
 #: the reader buffer.
 _LINE_LIMIT = 16 * 1024 * 1024
+
+
+def unanswered_requests(records) -> list:
+    """The journaled ``request`` records with no ``response`` record:
+    what a previous server life accepted and died before answering."""
+    answered = {
+        record.get("jid") for record in records
+        if record.get("type") == "response"
+    }
+    return [
+        record for record in records
+        if record.get("type") == "request"
+        and record.get("jid") not in answered
+    ]
 
 
 class ServiceConfig:
@@ -257,15 +272,7 @@ class AllocationService:
 
             self._journal = Journal(self.config.journal_path)
             records = self._journal.records()
-            answered = {
-                record.get("jid") for record in records
-                if record.get("type") == "response"
-            }
-            backlog = [
-                record for record in records
-                if record.get("type") == "request"
-                and record.get("jid") not in answered
-            ]
+            backlog = unanswered_requests(records)
             jids = [record.get("jid", 0) for record in records
                     if record.get("type") == "request"]
             self._journal_seq = itertools.count(max(jids, default=0) + 1)

@@ -130,15 +130,21 @@ class TestRecovery:
 
     def test_bitflip_in_checksum_detected(self, path):
         raw = self._write(path, [{"n": 0}])
-        header_len = len(JOURNAL_MAGIC) + 1
-        mutated = bytearray(raw)
-        # Byte 2 after "R " is checksum hex; swap it for a different hex digit.
-        pos = header_len + 2
-        mutated[pos] = ord("0") if mutated[pos] != ord("0") else ord("1")
-        path.write_bytes(bytes(mutated))
-        records, recovery = read_journal(path)
-        assert records == []
-        assert recovery.torn
+        # The checksum hex starts right after the header line and "R ".
+        start = len(JOURNAL_MAGIC) + 1 + 2
+        digit_swap = bytearray(raw)
+        digit_swap[start] = ord("0") if raw[start] != ord("0") else ord("1")
+        # Flipping a hex letter's case bit still names the same digest,
+        # but the writer only emits lowercase, so it is damage too.
+        letter = next(i for i in range(start, start + 64)
+                      if raw[i] in b"abcdef")
+        case_flip = bytearray(raw)
+        case_flip[letter] ^= 0x20
+        for mutated in (digit_swap, case_flip):
+            path.write_bytes(bytes(mutated))
+            records, recovery = read_journal(path)
+            assert records == []
+            assert recovery.torn
 
     def test_wrong_magic_rejected_entirely(self, path):
         self._write(path, [{"n": 0}])

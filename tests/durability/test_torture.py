@@ -126,7 +126,7 @@ class TestAcceptance:
         distinct seeded points (a third of them mid-record), resumes to
         a result byte-identical to the unkilled serial reference,
         within the restart budget, with zero leaked workers and rework
-        bounded by (kills + 1) x the in-flight batch size."""
+        bounded by (kills + 1) x the in-flight function count."""
         from repro.workloads import all_workloads
 
         workloads = sorted(all_workloads())

@@ -11,10 +11,10 @@ tripping at the driver layer on this transport.
 
 import os
 import pathlib
-import time
 
 import pytest
 
+from repro.durability.supervisor import process_gone
 from repro.frontend import compile_source
 from repro.machine.target import rt_pc
 from repro.regalloc import allocate_module
@@ -25,7 +25,6 @@ from repro.regalloc.pool import (
     active_pools,
     cache_key,
     get_pool,
-    plan_batches,
     resolve_jobs,
     shutdown_pools,
 )
@@ -47,20 +46,6 @@ def fresh_pool_state():
     yield
     shutdown_pools()
     RESPONSE_CACHE.clear()
-
-
-def _gone(pid: int, deadline: float = 5.0) -> bool:
-    """True once ``pid`` no longer exists (reaped or never started)."""
-    end = time.monotonic() + deadline
-    while time.monotonic() < end:
-        if not pathlib.Path(f"/proc/{pid}").exists():
-            return True
-        try:  # reap a zombie child if it is ours
-            os.waitpid(pid, os.WNOHANG)
-        except ChildProcessError:
-            pass
-        time.sleep(0.02)
-    return not pathlib.Path(f"/proc/{pid}").exists()
 
 
 def _module():
@@ -120,31 +105,6 @@ class TestResolveJobs:
         assert auto.total_spilled() == serial.total_spilled()
 
 
-class TestPlanBatches:
-    def test_every_item_scheduled_exactly_once(self):
-        items = list(range(17))
-        batches = plan_batches(items, 4, weight=lambda i: i + 1)
-        flat = sorted(i for batch in batches for i in batch)
-        assert flat == items
-        assert len(batches) >= 4
-
-    def test_at_least_one_batch_per_worker(self):
-        # Two functions over two workers must not share a batch —
-        # per-function timeout attribution depends on it.
-        assert len(plan_batches(["a", "bb"], 2)) == 2
-        assert len(plan_batches(["a"], 4)) == 1
-        assert plan_batches([], 3) == []
-
-    def test_largest_first_and_deterministic(self):
-        items = ["aaaa", "b", "cc", "ddd", "e"]
-        batches = plan_batches(items, 2)
-        assert batches == plan_batches(list(items), 2)
-        # The heaviest batch is dispatched first, led by the largest item.
-        assert batches[0][0] == "aaaa"
-        loads = [sum(len(i) for i in b) for b in batches]
-        assert loads == sorted(loads, reverse=True)
-
-
 class TestPoolLifecycle:
     def test_warm_once_across_two_allocate_module_calls(self):
         target = default_fault_target()
@@ -157,7 +117,7 @@ class TestPoolLifecycle:
         assert active_pools() == [pool]
         assert pool.worker_pids() == pids  # same processes, not respawned
         assert pool.warm_starts == 1
-        assert pool.batches >= 2
+        assert pool.dispatches == 4  # 2 functions x 2 calls
 
     def test_shutdown_reaps_every_worker(self):
         allocate_module(
@@ -169,21 +129,21 @@ class TestPoolLifecycle:
         assert active_pools() == []
         assert not pool.warm
         for pid in pids:
-            assert _gone(pid), f"worker {pid} leaked past shutdown"
+            assert process_gone(pid), f"worker {pid} leaked past shutdown"
 
     def test_context_manager_teardown(self):
         with WorkerPool(2) as pool:
             async_result = pool.submit(
-                [pool_mod.encode_request(next(iter(_module())))],
+                pool_mod.encode_request(next(iter(_module()))),
                 default_fault_target(), "briggs",
                 {"paranoia": "off"}, False,
             )
-            responses = async_result.get(30)
-            assert responses[0][0] == "wire"
+            response = async_result.get(30)
+            assert response[0] == "wire"
             pids = pool.worker_pids()
         assert not pool.warm
         for pid in pids:
-            assert _gone(pid)
+            assert process_gone(pid)
 
     def test_atexit_hook_registered_on_first_pool(self):
         assert not pool_mod._POOLS
@@ -323,7 +283,7 @@ class TestSignalTeardown:
                 victim.wait()
             victim.stdout.close()
         for pid in pids:
-            assert _gone(pid), (
+            assert process_gone(pid), (
                 f"worker {pid} outlived its SIGTERM'd parent"
             )
         # The teardown handler re-delivers with the default disposition,

@@ -8,6 +8,7 @@ deterministic crash bundle.
 """
 
 import json
+import time
 
 import pytest
 
@@ -42,6 +43,43 @@ class PressureCrasher(BriggsAllocator):
             raise AllocationError("injected: refusing the large function")
         return super().allocate_class(graph, costs, color_order,
                                       tracer=tracer)
+
+
+class SmallGraphHanger(BriggsAllocator):
+    """Wedges only on graphs with at most two virtual registers (``tiny``
+    in :data:`THREE_FUNCTIONS`), so a timeout that spreads to a
+    neighbouring function is observable.  Module-level, hence picklable
+    into pool workers."""
+
+    def allocate_class(self, graph, costs, color_order=None, tracer=None):
+        if graph.num_vreg_nodes <= 2:
+            time.sleep(60.0)
+        return super().allocate_class(graph, costs, color_order,
+                                      tracer=tracer)
+
+
+THREE_FUNCTIONS = (
+    "subroutine tiny(n)\n"
+    "end\n"
+    "subroutine mid(n)\n"
+    "integer a, b, c\n"
+    "a = n + 1\n"
+    "b = a * 2\n"
+    "c = a + b\n"
+    "print c\n"
+    "end\n"
+    "program p\n"
+    "integer x, y, z, w\n"
+    "x = 1\n"
+    "y = 2\n"
+    "z = x + y\n"
+    "w = z * y\n"
+    "call tiny(x)\n"
+    "call mid(w)\n"
+    "print z\n"
+    "print w\n"
+    "end\n"
+)
 
 
 def compiled():
@@ -215,6 +253,22 @@ class TestParallelHardening:
         assert {f.phase for f in allocation.failures} == {"worker-timeout"}
         # The wedged worker was abandoned, not waited out.
         assert all(f.elapsed < 30.0 for f in allocation.failures)
+
+    @slow
+    def test_timeout_fails_only_the_function_that_hung(self):
+        # Three functions over two workers: a hang costs only the
+        # function that hung; the others keep their briggs allocation.
+        with pytest.warns(RuntimeWarning, match="worker-timeout"):
+            allocation = allocate_module(
+                compile_source(THREE_FUNCTIONS), rt_pc(), SmallGraphHanger(),
+                jobs=2, timeout=1.0, policy="degrade-to-naive", retries=0,
+            )
+        assert [(f.function, f.phase) for f in allocation.failures] == [
+            ("tiny", "worker-timeout")
+        ]
+        assert allocation.result("tiny").method == "spill-all"
+        assert allocation.result("mid").method == "briggs"
+        assert allocation.result("p").method == "briggs"
 
     @slow
     def test_hung_worker_raise_policy_raises_timeout(self):

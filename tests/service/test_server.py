@@ -657,10 +657,10 @@ class TestTeardown:
 
         pids = drive(body)
         assert pids, "allocation never warmed the pool"
-        from tests.regalloc.test_pool import _gone
+        from repro.durability.supervisor import process_gone
 
         for pid in pids:
-            assert _gone(pid), f"worker {pid} survived service.stop()"
+            assert process_gone(pid), f"worker {pid} survived service.stop()"
 
     def test_shutdown_op_stops_the_server(self):
         async def body(service):
