@@ -33,9 +33,6 @@ class DefUse:
     def defs_of(self, vreg) -> list:
         return self.def_sites[vreg]
 
-    def uses_of(self, vreg) -> list:
-        return self.use_sites[vreg]
-
     def is_dead(self, vreg) -> bool:
         """Defined but never used (candidates for dead-code removal)."""
         return not self.use_sites[vreg]

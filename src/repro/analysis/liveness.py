@@ -12,14 +12,9 @@ instruction — exactly the traversal the interference-graph builder needs.
 
 from __future__ import annotations
 
-from repro.analysis.bitset import iter_bits, popcount
+from repro.analysis.bitset import iter_bits
 from repro.analysis.cfg import CFG
 from repro.ir.function import Function
-
-#: Re-exported kernels (historical home of these helpers; the
-#: implementations live in :mod:`repro.analysis.bitset`).
-bits = iter_bits
-bit_count = popcount
 
 
 class Liveness:

@@ -81,9 +81,6 @@ class LoopInfo:
 
     # ------------------------------------------------------------------
 
-    def depth_of(self, label: str) -> int:
-        return self.depth[label]
-
     def loops_containing(self, label: str) -> list:
         return [loop for loop in self.loops if label in loop]
 

@@ -11,7 +11,10 @@ coalescable copy found, maintaining merged adjacency with a union-find
 (testing group-against-group interference via bit masks), then rewrites
 the IR.  Rounds repeat until a fixed point — merging two ranges can make
 another copy coalescable or, conversely, make it interfere, which is why
-the graph must be rebuilt between rounds.
+the graph is rebuilt between rounds.  The last round merges nothing and
+leaves the IR as it found it, so its graphs are exactly the ones the
+driver colors: :func:`coalesce_copies` hands them over instead of the
+driver building them a second time.
 
 Restrictions:
 
@@ -67,8 +70,9 @@ def _conservative_ok(graph, state, k, root_a, root_b, find) -> bool:
 
 
 def _coalesce_round(function: Function, target: Target,
-                    strategy: str = "aggressive") -> int:
-    """One build-and-merge round; returns the number of copies removed."""
+                    strategy: str = "aggressive") -> tuple:
+    """One build-and-merge round; returns the number of copies removed and
+    the graphs the round was built on."""
     liveness = Liveness(function, CFG(function))
     graphs = build_interference_graphs(
         function, target, liveness, rclasses=(RClass.INT, RClass.FLOAT)
@@ -123,7 +127,7 @@ def _coalesce_round(function: Function, target: Target,
         merged_pairs.append((dst, src))
 
     if not merged_pairs:
-        return 0
+        return 0, graphs
 
     # Choose a representative vreg per union-find group and rewrite.
     replacement: dict = {}
@@ -152,7 +156,7 @@ def _coalesce_round(function: Function, target: Target,
                 continue
             kept.append(instr)
         block.instrs = kept
-    return removed
+    return removed, graphs
 
 
 def _pick_representative(members: list, params: set):
@@ -171,19 +175,25 @@ def coalesce_copies(
     target: Target,
     max_rounds: int = 50,
     strategy: str = "aggressive",
+    graphs_out: dict | None = None,
 ) -> int:
     """Coalesce until no copy can be merged.
 
     ``strategy`` is ``"aggressive"`` (Chaitin, the paper's build phase) or
     ``"conservative"`` (Briggs's later safe test).  Returns the total
-    number of copies removed.
+    number of copies removed.  When the final round merges nothing, its
+    ``{rclass: InterferenceGraph}`` — built on the IR as it is returned —
+    is put into ``graphs_out``; ``graphs_out`` stays empty if the rounds
+    ran out first.
     """
     if strategy not in ("aggressive", "conservative"):
         raise ValueError(f"unknown coalescing strategy {strategy!r}")
     total = 0
     for _round in range(max_rounds):
-        removed = _coalesce_round(function, target, strategy)
+        removed, graphs = _coalesce_round(function, target, strategy)
         if removed == 0:
+            if graphs_out is not None:
+                graphs_out.update(graphs)
             break
         total += removed
     return total

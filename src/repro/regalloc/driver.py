@@ -19,7 +19,11 @@ passes.  Renumbering and coalescing are skipped once a pass finds nothing
 to split or merge — spill temporaries are excluded from both transforms,
 so a fixed point stays a fixed point (aggressive coalescing only; the
 conservative variant's degree test can change after a spill, so it always
-re-runs).  ``PassStats.reused`` records exactly what was carried over.
+re-runs).  A pass that does coalesce does not build the graphs itself:
+the coalescer's last round merges nothing, so the graphs it was built on
+are the graphs of the code about to be colored, and ``coalesce_copies``
+hands them over.  ``PassStats.reused`` records exactly what was carried
+over, ``"interference"`` for handed-over graphs.
 
 ``check_allocation`` independently re-derives interference on the final
 code and verifies the coloring — the allocator's acceptance test.
@@ -304,6 +308,8 @@ def _run_cycle(function, target, strategy, coalesce, renumber,
                 pass_stats = PassStats(pass_index)
                 stats.passes.append(pass_stats)
                 reused: list = []
+                # The graphs of coalescing's last, quiet round.
+                handed_over: dict = {}
 
                 # ---- build -----------------------------------------------
                 phase = "build"
@@ -323,6 +329,7 @@ def _run_cycle(function, target, strategy, coalesce, renumber,
                                 pass_stats.coalesced = coalesce_copies(
                                     function, target,
                                     strategy=coalesce_strategy,
+                                    graphs_out=handed_over,
                                 )
                     if not build_settled:
                         coalesce_quiet = not coalesce or (
@@ -335,17 +342,22 @@ def _run_cycle(function, target, strategy, coalesce, renumber,
                         cfg = CFG(function)
                     else:
                         reused.append("cfg")
-                    with tracer.span("liveness", cat="step"):
-                        liveness = Liveness(function, cfg)
                     if loop_info is None:
                         loop_info = annotate_loop_depths(function, cfg)
                     else:
                         reused.append("loops")
+                    if handed_over:
+                        graphs = handed_over
+                        reused.append("interference")
+                    else:
+                        with tracer.span("liveness", cat="step"):
+                            liveness = Liveness(function, cfg)
+                        with tracer.span("interference", cat="step"):
+                            graphs = build_interference_graphs(
+                                function, target, liveness,
+                                rclasses=_CLASSES,
+                            )
                     pass_stats.reused = tuple(reused)
-                    with tracer.span("interference", cat="step"):
-                        graphs = build_interference_graphs(
-                            function, target, liveness, rclasses=_CLASSES
-                        )
                     with tracer.span("spill_costs", cat="step"):
                         costs = compute_spill_costs(function, loop_info)
                     pass_stats.live_ranges = sum(

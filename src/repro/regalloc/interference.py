@@ -20,14 +20,22 @@ The graph keeps both representations Chaitin recommends: a bit matrix for
 O(1) membership (``interferes``) and adjacency lists for neighbor walks.
 
 Both register classes are built by **one** backward walk over the
-instructions (:func:`build_interference_graphs`): the live set is a single
-bitset over all virtual registers, and each definition point updates only
-the graph of its own class.  The per-class :func:`build_interference_graph`
-is a thin wrapper kept for callers that want one class.  All mask walks
-use the O(popcount) kernels from :mod:`repro.analysis.bitset`.
+instructions (:func:`build_interference_graphs`).  The nodes are numbered
+before the walk, and each class owns a contiguous run of *slots* in one
+shared bitset (slot = the class's first slot + node index), so the live
+set is kept in node space and a class's row is one shift and one mask of
+the register's accumulated row.  One pass over the directed edges then
+symmetrises the rows and builds the adjacency lists (the work
+:meth:`InterferenceGraph.freeze` does for a graph built edge by edge).
+The per-class :func:`build_interference_graph` is a thin wrapper kept for
+callers that want one class.  All mask walks use the O(popcount) kernels
+from :mod:`repro.analysis.bitset`.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 from repro.analysis.bitset import bits_list, iter_bits, popcount
 from repro.analysis.cfg import CFG
@@ -144,14 +152,6 @@ class InterferenceGraph:
         )
 
 
-def _class_masks(function: Function, rclasses) -> dict:
-    masks = {rclass: 0 for rclass in rclasses}
-    for vreg in function.vregs:
-        if vreg.rclass in masks:
-            masks[vreg.rclass] |= 1 << vreg.id
-    return masks
-
-
 def _vregs_by_id(function: Function, liveness: Liveness) -> dict:
     by_id = getattr(liveness, "vreg_by_id", None)
     if by_id is None or len(by_id) != len(function.vregs):
@@ -168,66 +168,63 @@ def build_interference_graphs(
     """Build the interference graphs of every register class at once.
 
     One backward walk over the instructions serves all classes: the live
-    set is a single bitset over the whole register file, and every
-    definition point filters it through the class mask of the defined
-    register.  Returns ``{rclass: InterferenceGraph}``.
+    set is a single bitset over the slots of every register, and each
+    definition point ORs it into the defined register's row.  Returns
+    ``{rclass: InterferenceGraph}``.
     """
     liveness = liveness or Liveness(function, CFG(function))
     by_id = _vregs_by_id(function, liveness)
-    class_mask = _class_masks(function, rclasses)
-    graphs = {
-        rclass: InterferenceGraph(rclass, target.regs(rclass))
-        for rclass in rclasses
-    }
-    caller_saved_mask = {}
-    for rclass in rclasses:
-        mask = 0
-        for color in target.caller_saved(rclass):
-            mask |= 1 << color
-        caller_saved_mask[rclass] = mask
+    entry_live = [by_id[vid] for vid in
+                  iter_bits(liveness.live_in[function.entry.label])]
 
-    # Make sure every occurring vreg has a node even if it never interferes.
-    # Parameters are all defined simultaneously by the (implicit) prologue,
-    # so they mutually interfere — without this, two arguments could share
-    # a register and the later write would destroy the earlier value.
-    entry_live = liveness.live_in[function.entry.label]
-    for rclass, graph in graphs.items():
-        class_params = [p for p in function.params if p.rclass == rclass]
-        for param in class_params:
-            graph.ensure_node(param)
-        for index, first in enumerate(class_params):
-            for second in class_params[index + 1 :]:
-                graph.add_edge(graph.node_of[first], graph.node_of[second])
-        # Anything else live at function entry (only possible for parameters
-        # in verified IR, but kept general) interferes with every parameter.
-        for vid in iter_bits(entry_live & class_mask[rclass]):
-            node = graph.ensure_node(by_id[vid])
-            for param in class_params:
-                graph.add_edge(node, graph.node_of[param])
-    for _block, _index, instr in function.instructions():
-        for vreg in instr.defs:
-            graph = graphs.get(vreg.rclass)
-            if graph is not None:
-                graph.ensure_node(vreg)
-        for vreg in instr.uses:
-            graph = graphs.get(vreg.rclass)
-            if graph is not None:
-                graph.ensure_node(vreg)
-
-    # The single backward walk.  The live set is one bitset over every
-    # virtual register, so each definition point records its interference
-    # as a *single OR* into a per-register row in id space — no per-bit
-    # work at all.  Id-space rows merge the (heavily duplicated) live sets
-    # of a register's many definition points for free; they are translated
-    # into node space and symmetrised afterwards, in O(edges).
-    raw: list = [0] * len(function.vregs)  # vreg id -> interfering-id mask
-    across_calls = 0  # ids ever live across a call (all classes)
+    # Number the nodes first.  Per class: the parameters, then anything
+    # else live at entry (id order), then defs before uses in instruction
+    # order.  Registers of classes not asked for are collected too: they
+    # still occupy the live set.
+    operands = list(function.params)
+    operands += entry_live
     for block in function.blocks:
-        live = liveness.live_out[block.label]
+        for instr in block.instrs:
+            operands += instr.defs
+            operands += instr.uses
+    members = {rclass: [] for rclass in rclasses}
+    others: list = []
+    for vreg in dict.fromkeys(operands):
+        members.get(vreg.rclass, others).append(vreg)
+    del operands
+
+    # Each class owns a contiguous run of slots in one shared bitset:
+    # ``first`` + node index, so slots ``first .. first + k - 1`` stand for
+    # the precolored nodes and stay empty.  Other classes' registers sit
+    # past every graph's slots.
+    slot_of: dict = {}  # vreg id -> slot
+    first: dict = {}
+    slot = 0
+    for rclass in rclasses:
+        first[rclass] = slot
+        slot += target.regs(rclass)
+        for vreg in members[rclass]:
+            slot_of[vreg.id] = slot
+            slot += 1
+    for vreg in others:
+        slot_of[vreg.id] = slot
+        slot += 1
+
+    # The single backward walk, in slot space.  Each definition point
+    # records its interference as a *single OR* into the defined
+    # register's row, which merges the (heavily duplicated) live sets of
+    # a register's many definition points for free.
+    raw: list = [0] * slot  # slot -> interfering-slot mask
+    across_calls = 0  # slots ever live across a call (all classes)
+    for block in function.blocks:
+        # Liveness is solved in id space: translate once per block.
+        live = 0
+        for vid in iter_bits(liveness.live_out[block.label]):
+            live |= 1 << slot_of[vid]
         for instr in reversed(block.instrs):
             defs_mask = 0
             for d in instr.defs:
-                defs_mask |= 1 << d.id
+                defs_mask |= 1 << slot_of[d.id]
 
             if instr.is_call:
                 # Values live across the call cannot sit in caller-saved
@@ -237,41 +234,85 @@ def build_interference_graphs(
 
             interfering = live
             if instr.is_copy:
-                interfering = live & ~(1 << instr.uses[0].id)
+                interfering = live & ~(1 << slot_of[instr.uses[0].id])
             for d in instr.defs:
-                raw[d.id] |= interfering
+                raw[slot_of[d.id]] |= interfering
 
-            live = live & ~defs_mask
+            live &= ~defs_mask
             for u in instr.uses:
-                live |= 1 << u.id
+                live |= 1 << slot_of[u.id]
 
-    for rclass, graph in graphs.items():
-        cmask = class_mask[rclass]
-        adj = graph.adj_mask
-        node_of_id = {vreg.id: node for vreg, node in graph.node_of.items()}
+    # Cut each class's directed rows out of the shared bitset.
+    graphs = {}
+    for rclass in rclasses:
+        k = target.regs(rclass)
+        base = first[rclass]
+        graph = InterferenceGraph(rclass, k)
+        graph.vregs = vregs = members[rclass]
+        graph.node_of = node_of = {
+            vreg: node for node, vreg in enumerate(vregs, k)
+        }
+        num_nodes = k + len(vregs)
+        nodes_mask = (1 << num_nodes) - 1
+        rows = graph.adj_mask
+        for node in range(k, num_nodes):
+            slot = base + node
+            rows.append((raw[slot] >> base) & nodes_mask & ~(1 << node))
+            raw[slot] = 0  # all rows together are O(n^2) bits: free early
+        # Parameters are all defined simultaneously by the (implicit)
+        # prologue, so they mutually interfere — without this, two
+        # arguments could share a register and the later write would
+        # destroy the earlier value.  Anything else live at function entry
+        # (only possible for parameters in verified IR, but kept general)
+        # interferes with every parameter.
+        params_mask = 0
+        for param in function.params:
+            if param.rclass == rclass:
+                params_mask |= 1 << node_of[param]
+        if params_mask:
+            for vreg in function.params + entry_live:
+                node = node_of.get(vreg)
+                if node is not None:
+                    rows[node] |= params_mask & ~(1 << node)
         # Caller-saved clobbers: one accumulated mask serves every call
         # site, since the clobbered color set is the same at each.
-        clobber = caller_saved_mask[rclass]
+        clobber = 0
+        for color in target.caller_saved(rclass):
+            clobber |= 1 << color
         if clobber:
-            for vid in iter_bits(across_calls & cmask):
-                adj[node_of_id[vid]] |= clobber
-        # Translate each register's id-space row into its node-space row.
-        for vid, node in node_of_id.items():
-            row_ids = raw[vid] & cmask & ~(1 << vid)
-            if row_ids:
-                row = 0
-                for other in iter_bits(row_ids):
-                    row |= 1 << node_of_id[other]
-                adj[node] |= row
-        # Symmetrise: def-point rows are directed (defined -> live), and
-        # the clobber rows only set the virtual side.
-        for node in range(graph.num_nodes):
-            bit = 1 << node
-            for neighbor in iter_bits(adj[node]):
-                adj[neighbor] |= bit
-        graph._edge_count = None
-        graph.freeze()
+            for node in iter_bits((across_calls >> base) & nodes_mask):
+                rows[node] |= clobber
+        graphs[rclass] = graph
+    del raw
+    for graph in graphs.values():
+        _symmetrise(graph)
     return graphs
+
+
+def _symmetrise(graph: InterferenceGraph) -> None:
+    """Close the directed rows under symmetry and build the adjacency
+    lists, in one pass over the edges.
+
+    Def-point rows are directed (defined -> live) and clobber rows set
+    only the virtual side.  Each row is decoded once; its node is appended
+    to every neighbor's reverse list, which therefore comes out ascending.
+    A row's final mask adds its reverse bits and its adjacency list is the
+    sorted union of both directions.
+    """
+    rows = graph.adj_mask
+    adj_list = [bits_list(row) for row in rows]
+    reverse: list = [[] for _ in rows]
+    for node, neighbors in enumerate(adj_list):
+        for neighbor in neighbors:
+            reverse[neighbor].append(node)
+    endpoint_total = 0
+    for node, back in enumerate(reverse):
+        if back:
+            rows[node] |= reduce(or_, map((1).__lshift__, back))
+            adj_list[node] = sorted(set(adj_list[node]).union(back))
+        endpoint_total += len(adj_list[node])
+    graph.adj_list = adj_list
+    graph._edge_count = endpoint_total // 2
 
 
 def build_interference_graph(

@@ -2,7 +2,7 @@
 
 from repro.analysis import DefUse, Liveness
 from repro.analysis.defuse import ENTRY_SITE
-from repro.analysis.liveness import bit_count, bits
+from repro.analysis.bitset import iter_bits, popcount
 from repro.frontend import compile_source
 from repro.ir import Function, IRBuilder, Instr, RClass
 
@@ -19,11 +19,11 @@ def named_vreg(function, name):
 class TestBitHelpers:
     def test_bits_roundtrip(self):
         mask = (1 << 3) | (1 << 17) | 1
-        assert list(bits(mask)) == [0, 3, 17]
+        assert list(iter_bits(mask)) == [0, 3, 17]
 
     def test_bit_count(self):
-        assert bit_count(0) == 0
-        assert bit_count(0b1011) == 3
+        assert popcount(0) == 0
+        assert popcount(0b1011) == 3
 
 
 class TestLivenessStraightline:

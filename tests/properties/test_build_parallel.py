@@ -5,11 +5,15 @@ classes' interference graphs (instead of one walk per class), and
 ``allocate_module`` can fan functions out over a process pool.  Neither is
 allowed to change a single observable bit:
 
-1. the fused build must produce graphs identical — nodes, edges, degrees —
-   to the seed's independent single-class builds (the reference
+1. the fused build, and the single-class build, must produce graphs
+   identical — node order, bit matrix, adjacency lists in order, edge
+   count — to the seed's independent single-class builds (the reference
    implementation is kept in ``benchmarks/run_bench.py`` for exactly this
    role, plus the perf trajectory);
-2. ``jobs=2`` module allocation must yield the same assignment, spill
+2. the graphs the driver colors, which coalescing's last round hands over
+   in every pass that coalesces, must equal a fresh build on the final
+   code;
+3. ``jobs=2`` module allocation must yield the same assignment, spill
    counts, and pass counts as serial allocation.
 """
 
@@ -19,14 +23,18 @@ from hypothesis import given, settings, strategies as st
 from benchmarks.run_bench import seed_build_interference_graph
 from repro.analysis.cfg import CFG
 from repro.analysis.liveness import Liveness
+from repro.experiments.runner import EXPERIMENT_TARGET
 from repro.frontend import compile_source
 from repro.ir.values import RClass
 from repro.machine import rt_pc
 from repro.regalloc import (
     BriggsAllocator,
+    allocate_function,
     allocate_module,
+    build_interference_graph,
     build_interference_graphs,
 )
+from repro.workloads import all_workloads
 from repro.workloads.synth import generate_program
 
 _CLASSES = (RClass.INT, RClass.FLOAT)
@@ -41,45 +49,69 @@ def _flat_assignment(result):
     }
 
 
+def assert_same_graph(graph, reference):
+    assert graph.rclass == reference.rclass
+    assert graph.k == reference.k
+    assert graph.vregs == reference.vregs  # nodes, same order
+    assert graph.node_of == reference.node_of
+    assert graph.adj_mask == reference.adj_mask  # edges
+    assert graph.adj_list == reference.adj_list  # neighbor order too
+    assert graph.edge_count() == reference.edge_count()
+
+
+def assert_builds_match_seed(function, target):
+    """The fused build and the single-class build of ``function`` both
+    equal the seed's single-class builds."""
+    liveness = Liveness(function, CFG(function))
+    fused = build_interference_graphs(
+        function, target, liveness, rclasses=_CLASSES
+    )
+    for rclass in _CLASSES:
+        reference = seed_build_interference_graph(
+            function, rclass, target, liveness
+        )
+        assert_same_graph(fused[rclass], reference)
+        assert_same_graph(
+            build_interference_graph(function, rclass, target, liveness),
+            reference,
+        )
+
+
 class TestFusedBuild:
     @given(seed=st.integers(min_value=0, max_value=100_000))
     @settings(max_examples=40, deadline=None)
     def test_fused_build_matches_seed_single_class_builds(self, seed):
         source = generate_program(seed, statements=10)
-        module = compile_source(source)
-        target = rt_pc()
-        for function in module:
-            liveness = Liveness(function, CFG(function))
-            fused = build_interference_graphs(
-                function, target, liveness, rclasses=_CLASSES
-            )
-            for rclass in _CLASSES:
-                reference = seed_build_interference_graph(
-                    function, rclass, target, liveness
-                )
-                graph = fused[rclass]
-                assert graph.k == reference.k
-                assert graph.vregs == reference.vregs  # nodes, same order
-                assert graph.adj_mask == reference.adj_mask  # edges
-                assert [  # degrees
-                    len(row) for row in graph.adj_list
-                ] == [len(row) for row in reference.adj_list]
-                assert graph.edge_count() == reference.edge_count()
+        for function in compile_source(source):
+            assert_builds_match_seed(function, rt_pc())
 
     def test_fused_build_on_the_svd_workload(self):
         from repro.workloads.svd import workload
 
-        module = workload().compile()
-        target = rt_pc()
-        for function in module:
-            liveness = Liveness(function, CFG(function))
-            fused = build_interference_graphs(function, target, liveness)
-            for rclass in _CLASSES:
-                reference = seed_build_interference_graph(
-                    function, rclass, target, liveness
-                )
-                assert fused[rclass].adj_mask == reference.adj_mask
-                assert fused[rclass].vregs == reference.vregs
+        for function in workload().compile():
+            assert_builds_match_seed(function, rt_pc())
+
+
+class TestCoalescingHandOff:
+    @pytest.mark.parametrize("target", [rt_pc(), EXPERIMENT_TARGET],
+                             ids=["rt_pc", "12-6"])
+    @pytest.mark.parametrize("program", sorted(all_workloads()))
+    def test_colored_graphs_equal_a_fresh_build(self, program, target):
+        """Every pass that coalesces colors the graphs of coalescing's
+        quiet last round instead of building them again; the final pass's
+        graphs (kept under full paranoia) equal a fresh build."""
+        for function in all_workloads()[program].compile():
+            result = allocate_function(function, target, "briggs",
+                                       paranoia="full")
+            for pass_stats in result.stats.passes:
+                coalesced = "coalesce" not in pass_stats.reused
+                assert coalesced == (
+                    "interference" in pass_stats.reused
+                ), (function.name, pass_stats.index, pass_stats.reused)
+            fresh = build_interference_graphs(result.function, target)
+            assert result.graphs.keys() == fresh.keys()
+            for rclass, graph in result.graphs.items():
+                assert_same_graph(graph, fresh[rclass])
 
 
 class TestParallelModuleAllocation:
