@@ -10,13 +10,8 @@
 #   make fuzz          — bounded smoke-fuzz campaign: fixed seed, both
 #                        allocators under full paranoia, exact oracles,
 #                        minimizing shrinker; bundles in results/fuzz/
-#   make bench         — time the allocator hot path plus the graph-scale
-#                        coloring tiers (up to $(BENCH_SYNTH) nodes),
-#                        write BENCH_PR9.json
 #   make trace         — allocate $(TRACE_WORKLOAD) with tracing on; the
 #                        Chrome trace + metrics land in results/
-#   make bench-diff    — compare $(BENCH_NEW) against $(BENCH_BASE) with
-#                        the default regression threshold
 #   make serve         — run the hardened allocation daemon (NDJSON +
 #                        HTTP probes) with the disk cache in results/rc
 #   make chaos         — seeded fault storm against a live in-process
@@ -34,17 +29,13 @@ PYTHON ?= python
 FUZZ_SEED ?= 0
 FUZZ_ITERS ?= 150
 TRACE_WORKLOAD ?= quicksort
-BENCH_BASE ?= BENCH_PR6.json
-BENCH_NEW ?= BENCH_PR9.json
-BENCH_SYNTH ?= 1000000
 CHAOS_REQUESTS ?= 24
 CHAOS_SEED ?= 0
 TORTURE_KILLS ?= 10
 TORTURE_SEED ?= 0
 GC_KEEP ?= 16
 
-.PHONY: test test-fast verify-faults fuzz bench trace bench-diff serve \
-	chaos torture gc
+.PHONY: test test-fast verify-faults fuzz trace serve chaos torture gc
 
 test:
 	PYTHONPATH=src $(PYTHON) -m pytest -x -q
@@ -62,17 +53,10 @@ fuzz:
 	PYTHONPATH=src $(PYTHON) -m repro fuzz --seed $(FUZZ_SEED) \
 		--iters $(FUZZ_ITERS) --bundle-dir results/fuzz
 
-bench:
-	PYTHONPATH=src $(PYTHON) benchmarks/run_bench.py --jobs 2 \
-		--synth-max-nodes $(BENCH_SYNTH)
-
 trace:
 	PYTHONPATH=src $(PYTHON) -m repro trace $(TRACE_WORKLOAD) \
 		--out results/trace-$(TRACE_WORKLOAD).json \
 		--metrics results/metrics-$(TRACE_WORKLOAD).json
-
-bench-diff:
-	PYTHONPATH=src $(PYTHON) -m repro bench-diff $(BENCH_BASE) $(BENCH_NEW)
 
 serve:
 	PYTHONPATH=src $(PYTHON) -m repro serve --cache-dir results/rc

@@ -34,15 +34,11 @@ Commands
     Follow a live server's structured event ring (``GET /events``):
     admissions, sheds, breaker transitions, degrades, pool restarts,
     repair-round summaries — formatted one event per line.
-``bench-diff BASELINE CURRENT``
-    Compare two metrics/benchmark JSON files and report per-metric
-    deltas; exits 1 on regression unless ``--report-only``.  The
-    timing gate widens by measured machine noise (the documents'
-    ``noise.rel``, or ``--noise``), so environmental drift between
-    machines does not read as a code regression.
 ``figures [NAMES...]``
-    Regenerate the paper's tables (figure5 figure6 figure7 ablations
-    intstudy, or ``all``) into ``--out`` (default ``results/``).
+    Regenerate the paper's tables (figure5 figure6 figure6_extended
+    figure7 ablations intstudy svd_headline, or ``all``) into ``--out``
+    (default ``results/``): every committed table the figure tests
+    compare against.
 ``report``
     Regenerate every experiment into one markdown document
     (``results/REPORT.md``).
@@ -314,20 +310,6 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_bench_diff(args) -> int:
-    from repro.observability import compare_files
-
-    report = compare_files(
-        args.baseline, args.current,
-        threshold=args.threshold, min_time=args.min_time,
-        noise=args.noise,
-    )
-    print(report.render())
-    if args.report_only:
-        return 0
-    return 0 if report.ok else 1
-
-
 def cmd_verify(args) -> int:
     from repro.robustness import (
         FAULTS,
@@ -436,7 +418,8 @@ def cmd_fuzz(args) -> int:
     return 0 if report.ok else 1
 
 
-_FIGURES = ("figure5", "figure6", "figure7", "ablations", "intstudy")
+_FIGURES = ("figure5", "figure6", "figure6_extended", "figure7",
+            "ablations", "intstudy", "svd_headline")
 
 
 def cmd_figures(args) -> int:
@@ -446,6 +429,7 @@ def cmd_figures(args) -> int:
         run_figure6,
         run_figure7,
     )
+    from repro.experiments.figure6 import EXTENDED_COUNTS
     from repro.experiments.intstudy import run_integer_study
 
     wanted = list(args.names) or ["all"]
@@ -462,11 +446,17 @@ def cmd_figures(args) -> int:
         "figure6": lambda: run_figure6(array_size=args.array_size)
         .to_table()
         .render(),
+        "figure6_extended": lambda: run_figure6(
+            register_counts=EXTENDED_COUNTS, array_size=args.array_size
+        ).to_table().render(),
         "figure7": lambda: run_figure7().to_table().render(),
         "ablations": lambda: run_ablations().to_table().render(),
         "intstudy": lambda: run_integer_study(
             quicksort_size=args.array_size
         ).to_table().render(),
+        "svd_headline": lambda: run_figure5(
+            programs=["svd"], simulate=False
+        ).headline("svd"),
     }
     for name in wanted:
         rendered = runners[name]()
@@ -898,30 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
-        "bench-diff",
-        help="compare two metrics/benchmark JSON files for regressions",
-    )
-    p.add_argument("baseline", help="baseline metrics JSON "
-                   "(e.g. benchmarks/BENCH_PR1.json)")
-    p.add_argument("current", help="candidate metrics JSON")
-    p.add_argument("--threshold", type=float, default=0.25,
-                   help="relative regression threshold (default 0.25 = "
-                   "+25%%)")
-    p.add_argument("--min-time", type=float, default=0.0005,
-                   help="absolute noise floor in seconds for timing "
-                   "metrics (default 0.0005)")
-    p.add_argument("--report-only", action="store_true",
-                   help="always exit 0; print the comparison without "
-                   "gating")
-    p.add_argument("--noise", type=float, default=None,
-                   help="measured machine-noise fraction that widens "
-                   "the timing gate multiplicatively (e.g. 0.30 for "
-                   "±30%% run-to-run noise; default: the larger "
-                   "'noise.rel' recorded in the two documents by "
-                   "run_bench's pinned probe, 0 if absent)")
-    p.set_defaults(func=cmd_bench_diff)
-
-    p = sub.add_parser(
         "verify",
         help="translation validation and fault-injection smoke checks",
     )
@@ -993,7 +959,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("figures", help="regenerate the paper's tables")
-    p.add_argument("names", nargs="*", help="figure5 figure6 figure7 ablations | all")
+    p.add_argument("names", nargs="*", help=" ".join(_FIGURES) + " | all")
     p.add_argument("--out", default="results")
     p.add_argument("--array-size", type=int, default=256)
     p.set_defaults(func=cmd_figures)

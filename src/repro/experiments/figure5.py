@@ -5,7 +5,7 @@ ranges, registers (live ranges) spilled under Old (Chaitin) and New
 (Briggs) with the percentage improvement, the estimated spill costs the
 same way, and per program the measured dynamic improvement.
 
-Shape expectations (checked by ``benchmarks/test_figure5.py``):
+Shape expectations (checked by ``tests/experiments/test_experiments.py``):
 
 * New never spills more than Old, on any routine;
 * more than half the routines tie (the paper: "In more than half of these
@@ -67,6 +67,16 @@ class Figure5Result:
 
     def rows_for(self, program: str) -> list:
         return [row for row in self.rows if row.program == program]
+
+    def headline(self, routine: str) -> str:
+        """One routine's static result as a sentence; section 3 leads
+        with SVD's (``results/svd_headline.txt``)."""
+        (row,) = [r for r in self.rows if r.routine == routine]
+        return (
+            f"{routine.upper()}: registers spilled {row.spilled_old} -> "
+            f"{row.spilled_new} ({row.spilled_pct}%), estimated cost "
+            f"{row.cost_old:.0f} -> {row.cost_new:.0f} ({row.cost_pct}%)"
+        )
 
     def to_table(self) -> Table:
         table = Table(

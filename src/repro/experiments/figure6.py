@@ -6,7 +6,7 @@ purpose registers."  For each register count (16, 14, 12, 10, 8) the
 table reports registers spilled, spill cost, object size and running time
 for Old and New with percentage improvements.
 
-Shape expectations (checked by ``benchmarks/test_figure6.py``):
+Shape expectations (checked by ``tests/experiments/test_experiments.py``):
 
 * spilling (both methods) grows as registers shrink;
 * New's advantage appears/widens in the constrained settings ("our method
@@ -26,6 +26,10 @@ from repro.workloads import quicksort
 
 #: The paper's register counts.
 REGISTER_COUNTS = (16, 14, 12, 10, 8)
+
+#: Beyond the paper: the simulator can shrink past 8 registers, where the
+#: optimistic advantage is widest (``results/figure6_extended.txt``).
+EXTENDED_COUNTS = (8, 6, 4)
 
 
 class Figure6Row:

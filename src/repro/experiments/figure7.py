@@ -6,7 +6,7 @@ method, with the per-pass spill counts in parentheses.  Old's Color cell
 is empty on a spilling pass (Chaitin never reaches select then); New's is
 always filled.
 
-Shape expectations (checked by ``benchmarks/test_figure7.py``):
+Shape expectations (checked by ``tests/experiments/test_experiments.py``):
 
 * build dominates total allocation time, simplify + color are small
   ("It is immediately apparent how inexpensive the simplification and

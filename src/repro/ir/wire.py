@@ -11,8 +11,8 @@ pretty printer in three ways:
   and the operand arity comes from :data:`repro.ir.instructions.OPCODES`
   instead of being re-stated per line.  The encoding is a fraction of
   the size of a pickled :class:`~repro.ir.function.Function` and decodes
-  without importing any allocator state (``benchmarks/run_bench.py``
-  measures both against pickle);
+  without importing any allocator state (docs/PERFORMANCE.md compares
+  its size and codec speed with pickle's);
 * **lossless** — unlike the pretty printer it preserves *all* function
   state the allocator and the downstream consumers (simulator, encoder)
   depend on: spill-temp flags, the spill-slot count, the label counter

@@ -7,11 +7,8 @@ Zero-dependency tracing and metrics, threaded through the allocator:
   and gauges; :data:`NULL_TRACER` is the no-op used on the production hot
   path so instrumentation costs nothing measurable when disabled;
 * :mod:`export` — writers for Chrome trace-event JSON (loadable in
-  Perfetto / ``chrome://tracing``) and for the flat metrics document
-  (JSON/CSV) built from :class:`repro.regalloc.stats.AllocationStats`;
-* :mod:`regress` — loads two metrics/bench files and reports per-phase
-  deltas against a regression threshold plus measured machine noise
-  (``repro bench-diff``);
+  Perfetto / ``chrome://tracing``) and for the JSON metrics document
+  built from :class:`repro.regalloc.stats.AllocationStats`;
 * :mod:`hist` — log-bucketed streaming histograms backing the service's
   server-side p50/p95/p99 (``/metrics``, ``/metrics?format=prom``);
 * :mod:`events` — the bounded-ring structured event log behind
@@ -42,17 +39,7 @@ from repro.observability.export import (
     metrics_document,
     validate_chrome_trace,
     write_chrome_trace,
-    write_metrics_csv,
     write_metrics_json,
-)
-from repro.observability.regress import (
-    RUNTIME_SECTIONS,
-    RegressionReport,
-    compare_files,
-    compare_metrics,
-    document_noise,
-    flatten_metrics,
-    load_metrics,
 )
 
 __all__ = [
@@ -62,16 +49,8 @@ __all__ = [
     "coerce_tracer",
     "metrics_document",
     "write_chrome_trace",
-    "write_metrics_csv",
     "write_metrics_json",
     "validate_chrome_trace",
-    "RegressionReport",
-    "compare_files",
-    "compare_metrics",
-    "flatten_metrics",
-    "load_metrics",
-    "document_noise",
-    "RUNTIME_SECTIONS",
     "HIST_BASE",
     "LogHistogram",
     "prometheus_text",

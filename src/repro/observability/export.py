@@ -9,29 +9,24 @@ Two artifact families:
   and thread lanes get ``M`` metadata names so a parallel (``jobs=N``)
   allocation renders one lane per worker pid.
 * **metrics documents** (:func:`metrics_document`,
-  :func:`write_metrics_json`, :func:`write_metrics_csv`) — schema
-  ``repro-metrics/1``: per-function :class:`~repro.regalloc.stats
-  .AllocationStats` dumps (via the unified ``to_dict`` layer, so every
-  ``PassStats`` field — including ``reused`` and ``webs_split`` — is
-  exported, never a hand-maintained field list), whole-module totals,
-  and the tracer's accumulated counters.  ``repro bench-diff``
-  (:mod:`repro.observability.regress`) compares two such documents, or
-  a document against a flat ``BENCH_*.json`` baseline.
+  :func:`write_metrics_json`) — schema ``repro-metrics/1``:
+  per-function :class:`~repro.regalloc.stats.AllocationStats` dumps
+  (via the unified ``to_dict`` layer, so every ``PassStats`` field —
+  including ``reused`` and ``webs_split`` — is exported, never a
+  hand-maintained field list), whole-module totals, and the tracer's
+  accumulated counters.  ``repro allocate --json`` and ``repro trace
+  --metrics`` write one.
 
 The schemas are documented for humans in ``docs/OBSERVABILITY.md``.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import pathlib
 
 #: Schema tag stamped on every metrics document this module writes.
 METRICS_SCHEMA = "repro-metrics/1"
-
-#: Schema tag for the bench harness's phase-timing files.
-BENCH_SCHEMA = "repro-bench/1"
 
 #: Microseconds per perf-counter second (trace-event ``ts`` unit).
 _US = 1_000_000.0
@@ -177,9 +172,7 @@ def metrics_document(allocation, tracer=None, meta=None,
     pool, a ``pool`` section (:func:`pool_diagnostics`) records dispatch,
     warm-start, restart, and cache-hit counters.  ``service`` (optional
     dict, :meth:`repro.service.AllocationService.service_section`)
-    carries the daemon's admission/deadline/breaker counters; like
-    ``pool`` it is ignored by ``repro bench-diff``'s flattening, so
-    serving metrics never gate perf comparisons.
+    carries the daemon's admission/deadline/breaker counters.
     """
     from repro.regalloc.export import allocation_to_dict
 
@@ -244,20 +237,4 @@ def write_metrics_json(document: dict, path) -> pathlib.Path:
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def write_metrics_csv(document: dict, path) -> pathlib.Path:
-    """Flatten a metrics document to one ``key,value`` row per metric
-    (the same keys ``repro bench-diff`` compares)."""
-    from repro.observability.regress import flatten_metrics
-
-    path = pathlib.Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    flat = flatten_metrics(document)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["metric", "value"])
-        for key in sorted(flat):
-            writer.writerow([key, flat[key]])
     return path

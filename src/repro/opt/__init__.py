@@ -15,8 +15,8 @@ register allocation").  This package provides the classic scalar passes a
 All passes preserve the verifier's invariants and program semantics —
 checked by differential tests over random programs.  They also *change
 register pressure* (folding kills short ranges, CSE lengthens ranges),
-which is why ``benchmarks/test_ablations.py`` measures their effect on
-spilling.
+which is why the ablation table (``repro figures ablations``) measures
+their effect on spilling.
 """
 
 from repro.opt.local import fold_constants, propagate_copies, eliminate_common_subexpressions

@@ -4,8 +4,9 @@ The paper's §2.2 credits Matula & Beck [MaBe 81] for the key data
 structure and for the observation that coloring in reverse smallest-last
 order is both linear-time and stronger than Chaitin's simplification.
 This module exposes the algorithm over a *plain* graph (no precolored
-nodes, no costs) — used by the unit/property tests and by the ablation
-benchmarks as the pure graph-coloring reference point.
+nodes, no costs) — conflict-repair coloring
+(:mod:`repro.regalloc.repair`) takes its order from here, and the
+unit/property tests use it as the pure graph-coloring reference point.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ reproduces that discipline inside the same driver: on the first pass it
 marks *every* spillable live range for spilling; the second pass then
 colors the one-instruction spill temporaries, which trivially succeeds.
 
-It exists as a measuring stick — ``benchmarks/test_ablations.py`` shows
-how far even Chaitin's 1981 allocator moved the state of the art, which
-is the context for the paper's further improvement.
+It exists as a measuring stick — the ablation table (``repro figures
+ablations``) shows how far even Chaitin's 1981 allocator moved the state
+of the art, which is the context for the paper's further improvement.
 """
 
 from __future__ import annotations

@@ -838,8 +838,7 @@ class AllocationService:
         cache = RESPONSE_CACHE.stats()
         section["response_cache"] = cache
         #: server-side latency summaries (p50/p95/p99, count, sum) per
-        #: operation — the live-telemetry block; bench-diff never gates
-        #: on these (the whole `service` section is a RUNTIME_SECTION).
+        #: operation — the live-telemetry block.
         section["latency"] = {
             op: self.hists[op].summary() for op in sorted(self.hists)
         }

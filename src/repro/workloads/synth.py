@@ -394,8 +394,8 @@ def generate_graph(n: int, density: float = 8.0,
     ``n * density / 2`` undirected edges (``density`` = target average
     degree).
 
-    Deterministic for a given ``(n, density, seed)`` — the scaling
-    benchmarks, the CI repair smoke, and the determinism tests all rely
+    Deterministic for a given ``(n, density, seed)`` — perfbench's
+    ``graph`` workload, the CI repair smoke, and the determinism tests rely
     on byte-identical regeneration.  Duplicate edge draws are collapsed
     (not redrawn), so the realized edge count is slightly below the
     target on dense graphs; self-loops are redrawn.  Runs in O(n + m)

@@ -1,4 +1,14 @@
-"""Unit tests for the experiment harnesses (small configurations)."""
+"""Tests for the experiment harnesses, and the paper's figures.
+
+Small configurations check the harnesses themselves.  ``TestPaperFigures``
+regenerates every committed table under ``results/`` with the arguments
+``repro figures`` uses, asserts the shape claims the paper makes (who
+wins, where, by roughly how much), and compares the rendered table with
+the committed file byte for byte; ``repro figures all`` rewrites them.
+"""
+
+import pathlib
+import re
 
 import pytest
 
@@ -10,12 +20,56 @@ from repro.experiments import (
     EXPERIMENT_TARGET,
     Table,
     compare_workload,
+    run_ablations,
     run_figure5,
     run_figure6,
     run_figure7,
 )
+from repro.experiments.figure5 import PROGRAMS
+from repro.experiments.figure6 import EXTENDED_COUNTS
+from repro.experiments.intstudy import run_integer_study
 from repro.experiments.tables import percent_improvement
 from repro.workloads import get_workload
+
+RESULTS = pathlib.Path(__file__).resolve().parents[2] / "results"
+
+#: ``repro figures``'s default ``--array-size``.
+ARRAY_SIZE = 256
+
+#: A wall-clock seconds cell of Figure 7.
+_SECONDS = re.compile(r"\d+\.\d{3}")
+
+
+def assert_matches_committed(name, rendered, mask=None):
+    """The committed ``results/<name>.txt`` is ``rendered`` as ``repro
+    figures`` writes it, byte for byte, once ``mask`` (if any) has
+    blanked what may legitimately differ."""
+    committed = (RESULTS / f"{name}.txt").read_text()
+    regenerated = rendered + "\n"
+    if mask is not None:
+        committed, regenerated = mask(committed), mask(regenerated)
+    assert regenerated == committed, (
+        f"results/{name}.txt differs from a fresh regeneration; if the "
+        f"change is meant, rerun `repro figures {name}`"
+    )
+
+
+def mask_seconds(text):
+    return _SECONDS.sub("#.###", text)
+
+
+def fastest_phases(runs, routine, method):
+    """Per pass of ``routine`` under ``method``, each phase's fastest
+    seconds over several Figure 7 ``runs``."""
+    return [
+        {
+            phase: min(getattr(p, f"{phase}_time") for p in same)
+            for phase in ("build", "simplify", "select", "spill")
+        }
+        for same in zip(
+            *(run.cell(routine, method).stats.passes for run in runs)
+        )
+    ]
 
 
 class TestTables:
@@ -86,6 +140,18 @@ class TestFigureHarnesses:
         table = result.to_table().render()
         assert "SVD" in table
 
+        # Section 3's lead result: the New heuristic sharply reduces SVD's
+        # spilling ("The number of registers spilled was reduced by 51%;
+        # the estimated spill costs were reduced by 22%").
+        (row,) = result.rows
+        assert row.spilled_new < row.spilled_old
+        assert row.spilled_pct >= 10, (
+            f"SVD spill reduction too small to reproduce the headline: "
+            f"{row.spilled_pct}%"
+        )
+        assert row.cost_new <= row.cost_old
+        assert_matches_committed("svd_headline", result.headline("svd"))
+
     def test_figure6_two_points(self):
         result = run_figure6(register_counts=(16, 8), array_size=64)
         assert [r.registers for r in result.rows] == [16, 8]
@@ -103,3 +169,143 @@ class TestFigureHarnesses:
     def test_experiment_target_shape(self):
         assert EXPERIMENT_TARGET.int_regs == 12
         assert EXPERIMENT_TARGET.float_regs == 6
+
+
+class TestPaperFigures:
+    def test_figure5(self):
+        """§3.1: New never spills more live ranges, nor at higher
+        estimated cost, than Old on any routine; more than half the
+        routines tie; every program's dynamic improvement is small and
+        non-negative (floating point dominates execution time)."""
+        result = run_figure5()
+        for row in result.rows:
+            assert row.spilled_new <= row.spilled_old, row.routine
+            assert row.cost_new <= row.cost_old, row.routine
+        ties = [r for r in result.rows if r.spilled_new == r.spilled_old]
+        assert len(ties) > len(result.rows) / 2, (
+            "the paper reports no static improvement in more than half of "
+            "the routines"
+        )
+        improved = [r for r in result.rows if r.spilled_new < r.spilled_old]
+        assert improved, "at least the pathological routines must improve"
+        for program in PROGRAMS:
+            assert result.dynamic_pct[program] >= -0.01, program
+            assert result.dynamic_pct[program] < 25.0, (
+                "dynamic improvement should be small (fp dominates)"
+            )
+        assert_matches_committed("figure5", result.to_table().render())
+
+    def test_figure6(self):
+        """§3.2: spilling, object size and running time degrade as
+        registers are removed; New never spills more or runs slower, and
+        its advantage opens at the constrained end."""
+        result = run_figure6(array_size=ARRAY_SIZE)
+        rows = result.rows
+        for earlier, later in zip(rows, rows[1:]):
+            # Rows are ordered from most to fewest registers.
+            assert later.spilled_old >= earlier.spilled_old
+            assert later.spilled_new >= earlier.spilled_new
+            assert later.time_old >= earlier.time_old
+            assert later.size_old >= earlier.size_old
+        for row in rows:
+            assert row.spilled_new <= row.spilled_old
+            assert row.cost_new <= row.cost_old
+            assert row.time_new <= row.time_old
+        most_constrained = rows[-1]
+        least_constrained = rows[0]
+        assert (
+            most_constrained.spilled_old - most_constrained.spilled_new
+            >= least_constrained.spilled_old - least_constrained.spilled_new
+        )
+        assert most_constrained.spilled_old > 0, "8 registers must force spills"
+        assert_matches_committed("figure6", result.to_table().render())
+
+    def test_figure6_extended(self):
+        """Beyond the paper: the simulator can shrink past 8 registers,
+        where the optimistic advantage is widest."""
+        result = run_figure6(
+            register_counts=EXTENDED_COUNTS, array_size=ARRAY_SIZE
+        )
+        last = result.rows[-1]
+        assert last.spilled_new < last.spilled_old, (
+            "at 4 registers the optimistic allocator must beat Chaitin"
+        )
+        assert last.time_new < last.time_old
+        assert_matches_committed(
+            "figure6_extended", result.to_table().render()
+        )
+
+    def test_figure7(self):
+        """§3.3: neither method needs more than three passes and New runs
+        select on every pass; build dominates, simplify + color are cheap,
+        a later pass simplifies no slower than the first, and the two
+        methods' totals are comparable.
+
+        The phase times are wall-clock.  The table is compared with every
+        seconds figure masked: the per-pass spill counts, the blank Color
+        cells of Old's spilling passes and the layout must match.  The
+        timing claims read each phase's fastest of three runs, so a
+        collection pause or a lost time slice in a sub-millisecond phase
+        cannot decide them."""
+        runs = [run_figure7() for _ in range(3)]
+        result = runs[0]
+        totals = {}
+        for (routine, method), cell in result.cells.items():
+            stats = cell.stats
+            assert stats.pass_count <= 3, (routine, method, stats.pass_count)
+            if method == "briggs":
+                assert all(p.ran_select for p in stats.passes), routine
+            passes = fastest_phases(runs, routine, method)
+            build = sum(p["build"] for p in passes)
+            simplify_color = sum(p["simplify"] + p["select"] for p in passes)
+            assert build > simplify_color, (
+                f"{routine}/{method}: build must dominate "
+                f"(build={build:.4f}, simplify+color={simplify_color:.4f})"
+            )
+            if len(passes) >= 2:
+                assert (
+                    passes[1]["simplify"] <= passes[0]["simplify"] * 1.5
+                ), (routine, method)
+            totals[routine, method] = sum(sum(p.values()) for p in passes)
+        for routine in result.routines:
+            old, new = totals[routine, "chaitin"], totals[routine, "briggs"]
+            assert new < 2.0 * old + 0.01, routine
+            assert old < 2.0 * new + 0.01, routine
+        assert_matches_committed(
+            "figure7", result.to_table().render(), mask=mask_seconds
+        )
+
+    def test_ablations(self):
+        """§2.3's cost ordering never spills at higher total estimated
+        cost than pure smallest-last; turning coalescing off never
+        shrinks the graph or the code."""
+        result = run_ablations()
+        routines = {row.routine for row in result.rows}
+        for routine in routines:
+            variants = result.rows_for(routine)
+            briggs = variants["briggs"]
+            degree = variants["briggs-degree"]
+            if briggs.spilled or degree.spilled:
+                assert briggs.spill_cost <= degree.spill_cost * 1.001, routine
+            without = variants["briggs/no-coalesce"]
+            assert without.live_ranges >= briggs.live_ranges, routine
+            assert without.object_size >= briggs.object_size, routine
+        assert_matches_committed("ablations", result.to_table().render())
+
+    def test_integer_study(self):
+        """The §3.2 extension: over a more diverse integer suite, both
+        methods spill more as registers shrink, New never spills more nor
+        runs slower, and New strictly wins somewhere."""
+        result = run_integer_study(quicksort_size=ARRAY_SIZE)
+        strict_win = False
+        for program in ("quicksort", "intsuite"):
+            rows = result.rows_for(program)
+            for earlier, later in zip(rows, rows[1:]):
+                assert later.spilled_old >= earlier.spilled_old, program
+                assert later.spilled_new >= earlier.spilled_new, program
+            for row in rows:
+                assert row.spilled_new <= row.spilled_old
+                assert row.time_new <= row.time_old
+                strict_win |= row.spilled_new < row.spilled_old
+        assert strict_win, "New must strictly beat Old somewhere in the sweep"
+        assert_matches_committed("intstudy", result.to_table().render())

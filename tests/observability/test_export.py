@@ -11,7 +11,6 @@ from repro.observability import (
     metrics_document,
     validate_chrome_trace,
     write_chrome_trace,
-    write_metrics_csv,
     write_metrics_json,
 )
 from repro.observability.export import chrome_trace_events
@@ -117,17 +116,6 @@ class TestMetricsDocument:
         assert json.loads(path.read_text()) == json.loads(
             json.dumps(document)
         )
-
-    def test_csv_rows_match_flattened_metrics(self, tmp_path):
-        from repro.observability import flatten_metrics
-
-        allocation, tracer = traced_allocation()
-        document = metrics_document(allocation, tracer=tracer)
-        path = write_metrics_csv(document, tmp_path / "metrics.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "metric,value"
-        assert len(lines) - 1 == len(flatten_metrics(document))
-        assert any(line.startswith("total.total_time,") for line in lines)
 
 
 class TestStatsRoundTrip:

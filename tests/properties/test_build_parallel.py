@@ -8,8 +8,8 @@ allowed to change a single observable bit:
 1. the fused build, and the single-class build, must produce graphs
    identical — node order, bit matrix, adjacency lists in order, edge
    count — to the seed's independent single-class builds (the reference
-   implementation is kept in ``benchmarks/run_bench.py`` for exactly this
-   role, plus the perf trajectory);
+   implementation, ``seed_build_interference_graph``, is kept below for
+   exactly this role);
 2. the graphs the driver colors, which coalescing's last round hands over
    in every pass that coalesces, must equal a fresh build on the final
    code;
@@ -20,7 +20,6 @@ allowed to change a single observable bit:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from benchmarks.run_bench import seed_build_interference_graph
 from repro.analysis.cfg import CFG
 from repro.analysis.liveness import Liveness
 from repro.experiments.runner import EXPERIMENT_TARGET
@@ -34,6 +33,7 @@ from repro.regalloc import (
     build_interference_graph,
     build_interference_graphs,
 )
+from repro.regalloc.interference import InterferenceGraph
 from repro.workloads import all_workloads
 from repro.workloads.synth import generate_program
 
@@ -47,6 +47,92 @@ def _flat_assignment(result):
         (vreg.id, vreg.rclass.value): color
         for vreg, color in result.assignment.items()
     }
+
+
+def _seed_freeze(graph: InterferenceGraph) -> None:
+    """The seed's bit-by-bit freeze: O(num_nodes * max_node_id)."""
+    graph.adj_list = []
+    for node in range(graph.num_nodes):
+        mask = graph.adj_mask[node]
+        neighbors = []
+        index = 0
+        while mask:
+            if mask & 1:
+                neighbors.append(index)
+            mask >>= 1
+            index += 1
+        graph.adj_list.append(neighbors)
+
+
+def seed_build_interference_graph(function, rclass, target, liveness):
+    """The seed implementation of the build phase, one register class per
+    backward walk, with per-bit live-set iteration at every def point."""
+    k = target.regs(rclass)
+    graph = InterferenceGraph(rclass, k)
+    class_mask = 0
+    for vreg in function.vregs:
+        if vreg.rclass == rclass:
+            class_mask |= 1 << vreg.id
+    by_id = {v.id: v for v in function.vregs}
+    caller_saved = sorted(target.caller_saved(rclass))
+
+    class_params = [p for p in function.params if p.rclass == rclass]
+    for param in class_params:
+        graph.ensure_node(param)
+    for index, first in enumerate(class_params):
+        for second in class_params[index + 1 :]:
+            graph.add_edge(graph.ensure_node(first), graph.ensure_node(second))
+    entry_live = liveness.live_in[function.entry.label] & class_mask
+    masked = entry_live
+    while masked:
+        low = masked & -masked
+        masked ^= low
+        vreg = by_id[low.bit_length() - 1]
+        node = graph.ensure_node(vreg)
+        for param in class_params:
+            graph.add_edge(node, graph.ensure_node(param))
+    for _block, _index, instr in function.instructions():
+        for vreg in instr.defs:
+            if vreg.rclass == rclass:
+                graph.ensure_node(vreg)
+        for vreg in instr.uses:
+            if vreg.rclass == rclass:
+                graph.ensure_node(vreg)
+
+    def live_nodes(mask):
+        masked = mask & class_mask
+        while masked:
+            low = masked & -masked
+            masked ^= low
+            yield graph.ensure_node(by_id[low.bit_length() - 1])
+
+    for block in function.blocks:
+        live = liveness.live_out[block.label]
+        for instr in reversed(block.instrs):
+            defs_mask = 0
+            for d in instr.defs:
+                defs_mask |= 1 << d.id
+            if instr.is_call:
+                across = live & ~defs_mask
+                for node in live_nodes(across):
+                    for color in caller_saved:
+                        graph.add_edge(node, color)
+            copy_source_mask = 0
+            if instr.is_copy:
+                copy_source_mask = 1 << instr.uses[0].id
+            for d in instr.defs:
+                if d.rclass != rclass:
+                    continue
+                d_node = graph.ensure_node(d)
+                interfering = live & ~(1 << d.id) & ~copy_source_mask
+                for node in live_nodes(interfering):
+                    graph.add_edge(d_node, node)
+            live = live & ~defs_mask
+            for u in instr.uses:
+                live |= 1 << u.id
+
+    _seed_freeze(graph)
+    return graph
 
 
 def assert_same_graph(graph, reference):

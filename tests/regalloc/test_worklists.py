@@ -1,9 +1,58 @@
-"""Tests for the Matula–Beck degree buckets."""
+"""Tests for the Matula–Beck degree buckets, and the linear work they
+buy simplify and select."""
 
 import pytest
 
+from repro.analysis.cfg import CFG
+from repro.analysis.liveness import Liveness
 from repro.errors import AllocationError
-from repro.regalloc import DegreeBuckets
+from repro.experiments.runner import EXPERIMENT_TARGET
+from repro.frontend import compile_source
+from repro.regalloc import (
+    DegreeBuckets,
+    InterferenceGraph,
+    build_interference_graphs,
+    compute_spill_costs,
+    select_colors,
+    simplify,
+)
+from repro.workloads import get_workload
+from repro.workloads.cedeta import (
+    generate_fcn,
+    generate_gradnt,
+    generate_hssian,
+    generate_terms,
+)
+
+
+class CountingGraph(InterferenceGraph):
+    """An interference graph that counts every neighbor handed out by
+    ``neighbors()``: the whole of a phase's edge work."""
+
+    visits = 0
+
+    def neighbors(self, node):
+        for neighbor in super().neighbors(node):
+            self.visits += 1
+            yield neighbor
+
+    def degree(self, node):
+        return len(self.adj_list[node])
+
+
+def _hssian(n_vars):
+    """The generated HSSIAN routine at ``n_vars`` variables."""
+    terms = generate_terms(n=n_vars, seed=7)
+    source = "\n".join([
+        generate_fcn(terms, n_vars),
+        generate_gradnt(terms, n_vars),
+        generate_hssian(terms, n_vars),
+    ])
+    return compile_source(source).function("hssian")
+
+
+def _gradnt():
+    return get_workload("cedeta").compile().function("gradnt")
 
 
 class TestBasics:
@@ -113,6 +162,9 @@ class TestScanPointer:
 
 
 class TestLinearWork:
+    """§2.2/§3.3: outside the cost/degree victim search, simplify and
+    select take time linear in the size of the interference graph."""
+
     def test_full_simplification_matches_naive(self):
         # Simulate removing nodes from a random graph and confirm the
         # buckets always yield a node of globally minimal degree.
@@ -138,3 +190,41 @@ class TestLinearWork:
             for neighbor in adjacency[node]:
                 if neighbor in alive:
                     buckets.decrement(neighbor)
+
+    @pytest.mark.parametrize(
+        "function",
+        [
+            pytest.param(lambda: _hssian(6), id="hssian-6"),
+            pytest.param(lambda: _hssian(10), id="hssian-10"),
+            pytest.param(lambda: _hssian(14), id="hssian-14"),
+            pytest.param(_gradnt, id="gradnt"),
+        ],
+    )
+    def test_each_phase_visits_every_edge_once(self, function):
+        """Simplify walks the neighbors of each node it removes, select
+        those of each node it colors, once each: the summed degree of
+        the nodes processed, at most 2·E per phase."""
+        function = function()
+        costs = compute_spill_costs(function)
+        graphs = build_interference_graphs(
+            function, EXPERIMENT_TARGET, Liveness(function, CFG(function))
+        ).values()
+        for graph in graphs:
+            graph.__class__ = CountingGraph
+        constrained = 0
+        for optimistic in (True, False):
+            for graph in graphs:
+                graph.visits = 0
+                outcome = simplify(graph, costs, optimistic=optimistic)
+                removed = outcome.stack + outcome.marked_for_spill
+                assert sorted(removed) == list(range(graph.k, graph.num_nodes))
+                assert graph.visits == sum(map(graph.degree, removed))
+                assert graph.visits <= 2 * graph.edge_count()
+                constrained += len(outcome.constrained_choices)
+
+                graph.visits = 0
+                select_colors(graph, outcome.stack)
+                assert graph.visits == sum(map(graph.degree, outcome.stack))
+        # The graphs are pressured enough that the cost/degree victim
+        # search ran; it reads the buckets' degrees, never neighbors().
+        assert constrained

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -103,6 +104,18 @@ class TestFigures:
         )
         assert (tmp_path / "figure6.txt").exists()
         assert "Registers" in capsys.readouterr().out
+
+    @pytest.mark.slow
+    def test_extension_tables_match_committed(self, tmp_path):
+        """The two tables beyond the paper's figures are written by
+        `repro figures` too, exactly as committed."""
+        names = ["figure6_extended", "svd_headline"]
+        assert main(["figures", *names, "--out", str(tmp_path)]) == 0
+        results = pathlib.Path(__file__).resolve().parent.parent / "results"
+        for name in names:
+            assert (tmp_path / f"{name}.txt").read_text() == (
+                results / f"{name}.txt"
+            ).read_text()
 
 
 class TestWorkloads:

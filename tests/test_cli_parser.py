@@ -121,14 +121,6 @@ class TestParser:
         assert args.limit == 10
         assert args.port == 9000
 
-    def test_bench_diff_noise_flag(self, parser):
-        args = parser.parse_args(["bench-diff", "a.json", "b.json"])
-        assert args.noise is None
-        args = parser.parse_args(
-            ["bench-diff", "a.json", "b.json", "--noise", "0.08"]
-        )
-        assert args.noise == pytest.approx(0.08)
-
     def test_serve_trace_dir_flag(self, parser):
         args = parser.parse_args(["serve", "--trace-dir", "spool/"])
         assert args.trace_dir == "spool/"
