@@ -7,8 +7,9 @@ from repro.lang.parser import parse_program
 
 
 def expect_error(source, pattern):
-    with pytest.raises(ParseError, match=pattern):
+    with pytest.raises(ParseError, match=pattern) as caught:
         parse_program(source)
+    return caught.value
 
 
 class TestUnitErrors:
@@ -70,6 +71,20 @@ class TestExpressionErrors:
 
     def test_bad_array_extent(self):
         expect_error("subroutine s()\nreal a(1.5)\nend\n", "extent")
+
+    def test_relationals_do_not_associate(self):
+        error = expect_error(
+            "subroutine s()\nx = a < b < c\nend\n",
+            "expected end of statement, found '.lt.'",
+        )
+        assert (error.location.line, error.location.column) == (2, 11)
+
+    def test_not_after_arithmetic_operator(self):
+        error = expect_error(
+            "subroutine s()\nx = a + .not. b\nend\n",
+            r"unexpected token '\.not\.'",
+        )
+        assert (error.location.line, error.location.column) == (2, 9)
 
 
 class TestLocations:
