@@ -3,9 +3,10 @@
 The 1989 paper evaluates its allocator inside a FORTRAN compiler.  This
 package provides a small FORTRAN-flavoured language — enough to express the
 paper's workloads (LINPACK kernels, SVD, the EULER shock code, quicksort) —
-with a lexer, a recursive-descent parser, and a semantic analyser that
-performs classic FORTRAN implicit typing (names starting with I..N are
-INTEGER) plus explicit declarations.
+with a lexer driven by one compiled regular expression, a recursive-descent
+parser that reads expressions by precedence climbing over one operator
+table, and a semantic analyser that performs classic FORTRAN implicit typing
+(names starting with I..N are INTEGER) plus explicit declarations.
 
 Public entry points:
 
@@ -14,7 +15,7 @@ Public entry points:
 * :func:`compile_source` (in :mod:`repro.frontend`) — source straight to IR.
 """
 
-from repro.lang.lexer import Lexer, tokenize
+from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenKind
 from repro.lang.parser import Parser, parse_program
 from repro.lang.sema import SemanticAnalyzer, analyze
@@ -22,7 +23,6 @@ from repro.lang.types import ArrayType, ScalarType, Type
 from repro.lang import ast
 
 __all__ = [
-    "Lexer",
     "tokenize",
     "Token",
     "TokenKind",

@@ -1,263 +1,122 @@
-"""Hand-written lexer for mini-FORTRAN.
+"""Lexer for mini-FORTRAN: one compiled regular expression.
 
 The language is line-oriented: a NEWLINE token separates statements (``;`` is
-accepted as a synonym).  Comments run from ``!`` to end of line.  Keywords and
-identifiers are case-insensitive and folded to lower case.  ``end if``,
-``end do``, ``else if`` and ``go to`` are fused into their single-word forms
-so the parser only ever sees ``endif``/``enddo``/``elseif``/``goto``.
+accepted as a synonym).  Comments run from ``!`` to end of line, and ``&``
+continues a statement on the next line.  Keywords and identifiers are
+case-insensitive and folded to lower case.  ``end if``, ``end do``,
+``else if`` and ``go to`` are fused into their single-word forms so the
+parser only ever sees ``endif``/``enddo``/``elseif``/``goto``.
 """
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import LexError, SourceLocation
 from repro.lang.tokens import DOTTED_OPERATORS, KEYWORDS, Token, TokenKind
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyz_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
+_DOTTED = r"\.(?i:%s)\." % "|".join(op.strip(".") for op in DOTTED_OPERATORS)
 
+#: One alternative per token class, tried in order at the current position.
+#: A dot after digits starts a real unless it starts a dotted operator
+#: (``1.lt.2``).  Identifiers accept U+212A KELVIN SIGN, which folds to
+#: ``k``.
+_TOKEN = re.compile(rf"""
+    (?P<skip> [ \t\r]+ | ![^\n]* | &[ \t\r]*\n? )
+  | (?P<newline> [\n;] )
+  | (?P<dotted> {_DOTTED} )
+  | (?P<number> (?: [0-9]+ (?: (?!{_DOTTED}) \.[0-9]* )? | \.[0-9]+ )
+                (?: [eEdD][+-]?[0-9]+ )? )
+  | (?P<word> [A-Za-z_\u212a][A-Za-z0-9_\u212a]* )
+  | (?P<symbol> \*\* | [=<>]= | [-+*/(),:=<>] )
+""", re.VERBOSE)
 
-class Lexer:
-    """Converts mini-FORTRAN source text into a list of :class:`Token`."""
+_SYMBOLS = {
+    "+": TokenKind.PLUS,
+    "-": TokenKind.MINUS,
+    "*": TokenKind.STAR,
+    "/": TokenKind.SLASH,
+    "**": TokenKind.POWER,
+    "(": TokenKind.LPAREN,
+    ")": TokenKind.RPAREN,
+    ",": TokenKind.COMMA,
+    ":": TokenKind.COLON,
+    "=": TokenKind.ASSIGN,
+    "==": TokenKind.OP_EQ,
+    "<": TokenKind.OP_LT,
+    "<=": TokenKind.OP_LE,
+    ">": TokenKind.OP_GT,
+    ">=": TokenKind.OP_GE,
+}
 
-    def __init__(self, source: str, filename: str = "<source>"):
-        self.source = source
-        self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-        self.tokens: list[Token] = []
-
-    # ------------------------------------------------------------------
-    # Character helpers
-    # ------------------------------------------------------------------
-
-    def _loc(self) -> SourceLocation:
-        return SourceLocation(self.filename, self.line, self.column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        if index >= len(self.source):
-            return ""
-        return self.source[index]
-
-    def _advance(self) -> str:
-        ch = self.source[self.pos]
-        self.pos += 1
-        if ch == "\n":
-            self.line += 1
-            self.column = 1
-        else:
-            self.column += 1
-        return ch
-
-    def _at_end(self) -> bool:
-        return self.pos >= len(self.source)
-
-    # ------------------------------------------------------------------
-    # Main loop
-    # ------------------------------------------------------------------
-
-    def run(self) -> list[Token]:
-        """Lex the whole buffer and return the token list (ending in EOF)."""
-        while not self._at_end():
-            self._scan_token()
-        self._emit_newline_if_needed()
-        self.tokens.append(Token(TokenKind.EOF, None, self._loc()))
-        self._fuse_compound_keywords()
-        return self.tokens
-
-    def _emit_newline_if_needed(self) -> None:
-        """Append a NEWLINE unless the last significant token already is one."""
-        if self.tokens and self.tokens[-1].kind != TokenKind.NEWLINE:
-            self.tokens.append(Token(TokenKind.NEWLINE, None, self._loc()))
-
-    def _scan_token(self) -> None:
-        ch = self._peek()
-        loc = self._loc()
-
-        if ch in " \t\r":
-            self._advance()
-            return
-        if ch == "!":
-            while not self._at_end() and self._peek() != "\n":
-                self._advance()
-            return
-        if ch == "\n" or ch == ";":
-            self._advance()
-            # Collapse runs of blank lines into a single NEWLINE.
-            if self.tokens and self.tokens[-1].kind != TokenKind.NEWLINE:
-                self.tokens.append(Token(TokenKind.NEWLINE, None, loc))
-            return
-        if ch == "&":
-            # Line continuation: swallow the ampersand and the newline.
-            self._advance()
-            while not self._at_end() and self._peek() in " \t\r":
-                self._advance()
-            if not self._at_end() and self._peek() == "\n":
-                self._advance()
-            return
-        if ch == ".":
-            if self._scan_dotted_or_real(loc):
-                return
-        if ch in _DIGITS:
-            self._scan_number(loc)
-            return
-        if ch.lower() in _IDENT_START:
-            self._scan_identifier(loc)
-            return
-        self._scan_operator(loc)
-
-    # ------------------------------------------------------------------
-    # Token scanners
-    # ------------------------------------------------------------------
-
-    def _scan_dotted_or_real(self, loc: SourceLocation) -> bool:
-        """Scan ``.and.``-style operators, or fall through for ``.5`` reals.
-
-        Returns True when a token was produced.
-        """
-        rest = self.source[self.pos : self.pos + 6].lower()
-        for spelling, kind in DOTTED_OPERATORS.items():
-            if rest.startswith(spelling):
-                for _ in spelling:
-                    self._advance()
-                self.tokens.append(Token(kind, None, loc))
-                return True
-        if self._peek(1) in _DIGITS:
-            self._scan_number(loc)
-            return True
-        raise LexError(f"unexpected character {self._peek()!r}", loc)
-
-    def _scan_number(self, loc: SourceLocation) -> None:
-        start = self.pos
-        is_real = False
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == "." and not self._is_dotted_op_ahead():
-            is_real = True
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek().lower() in ("e", "d"):
-            after = self._peek(1)
-            after2 = self._peek(2)
-            if after in _DIGITS or (after in "+-" and after2 in _DIGITS):
-                is_real = True
-                self._advance()
-                if self._peek() in "+-":
-                    self._advance()
-                while self._peek() in _DIGITS:
-                    self._advance()
-        text = self.source[start : self.pos].lower().replace("d", "e")
-        if is_real:
-            self.tokens.append(Token(TokenKind.REAL, float(text), loc))
-        else:
-            self.tokens.append(Token(TokenKind.INT, int(text), loc))
-
-    def _is_dotted_op_ahead(self) -> bool:
-        """Detect ``1.lt.2`` where the dot starts an operator, not a real."""
-        rest = self.source[self.pos : self.pos + 6].lower()
-        return any(rest.startswith(op) for op in DOTTED_OPERATORS)
-
-    def _scan_identifier(self, loc: SourceLocation) -> None:
-        start = self.pos
-        while self._peek().lower() in _IDENT_CONT:
-            self._advance()
-        text = self.source[start : self.pos].lower()
-        kind = KEYWORDS.get(text)
-        if kind is not None:
-            self.tokens.append(Token(kind, None, loc))
-        else:
-            self.tokens.append(Token(TokenKind.IDENT, text, loc))
-
-    _SINGLE = {
-        "+": TokenKind.PLUS,
-        "-": TokenKind.MINUS,
-        "/": TokenKind.SLASH,
-        "(": TokenKind.LPAREN,
-        ")": TokenKind.RPAREN,
-        ",": TokenKind.COMMA,
-        ":": TokenKind.COLON,
-    }
-
-    def _scan_operator(self, loc: SourceLocation) -> None:
-        ch = self._peek()
-        if ch == "*":
-            self._advance()
-            if self._peek() == "*":
-                self._advance()
-                self.tokens.append(Token(TokenKind.POWER, None, loc))
-            else:
-                self.tokens.append(Token(TokenKind.STAR, None, loc))
-            return
-        if ch == "=":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                self.tokens.append(Token(TokenKind.OP_EQ, None, loc))
-            else:
-                self.tokens.append(Token(TokenKind.ASSIGN, None, loc))
-            return
-        if ch == "<":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                self.tokens.append(Token(TokenKind.OP_LE, None, loc))
-            else:
-                self.tokens.append(Token(TokenKind.OP_LT, None, loc))
-            return
-        if ch == ">":
-            self._advance()
-            if self._peek() == "=":
-                self._advance()
-                self.tokens.append(Token(TokenKind.OP_GE, None, loc))
-            else:
-                self.tokens.append(Token(TokenKind.OP_GT, None, loc))
-            return
-        kind = self._SINGLE.get(ch)
-        if kind is None:
-            raise LexError(f"unexpected character {ch!r}", loc)
-        self._advance()
-        self.tokens.append(Token(kind, None, loc))
-
-    # ------------------------------------------------------------------
-    # Post-pass: compound keyword fusion
-    # ------------------------------------------------------------------
-
-    _FUSIBLE = {
-        (TokenKind.KW_END, TokenKind.KW_IF): TokenKind.KW_ENDIF,
-        (TokenKind.KW_END, TokenKind.KW_DO): TokenKind.KW_ENDDO,
-        (TokenKind.KW_ELSE, TokenKind.KW_IF): TokenKind.KW_ELSEIF,
-    }
-
-    def _fuse_compound_keywords(self) -> None:
-        fused: list[Token] = []
-        i = 0
-        toks = self.tokens
-        while i < len(toks):
-            tok = toks[i]
-            if i + 1 < len(toks):
-                pair = (tok.kind, toks[i + 1].kind)
-                combined = self._FUSIBLE.get(pair)
-                if combined is not None:
-                    fused.append(Token(combined, None, tok.location))
-                    i += 2
-                    continue
-                if (
-                    tok.kind == TokenKind.IDENT
-                    and tok.value == "go"
-                    and toks[i + 1].kind == TokenKind.IDENT
-                    and toks[i + 1].value == "to"
-                ):
-                    fused.append(Token(TokenKind.KW_GOTO, None, tok.location))
-                    i += 2
-                    continue
-            fused.append(tok)
-            i += 1
-        self.tokens = fused
+#: Adjacent words that lex as one keyword.
+_FUSED = {
+    ("end", "if"): TokenKind.KW_ENDIF,
+    ("end", "do"): TokenKind.KW_ENDDO,
+    ("else", "if"): TokenKind.KW_ELSEIF,
+    ("go", "to"): TokenKind.KW_GOTO,
+}
 
 
 def tokenize(source: str, filename: str = "<source>") -> list[Token]:
-    """Convenience wrapper: lex ``source`` and return its tokens."""
-    return Lexer(source, filename).run()
+    """Lex ``source`` into tokens, ending in NEWLINE and EOF."""
+    tokens: list[Token] = []
+    match = _TOKEN.match
+    pos, end = 0, len(source)
+    line, line_start = 1, 0
+    # The previous token's text when it was a word, for fusing.
+    last_word = None
+    while pos < end:
+        found = match(source, pos)
+        if found is None:
+            column = pos - line_start + 1
+            raise LexError(
+                f"unexpected character {source[pos]!r}",
+                SourceLocation(filename, line, column),
+            )
+        start, pos = pos, found.end()
+        group = found.lastgroup
+        if group == "skip":
+            if source[pos - 1] == "\n":  # a continuation and its newline
+                line, line_start = line + 1, pos
+            continue
+        loc = SourceLocation(filename, line, start - line_start + 1)
+        text = found.group()
+        if group == "word":
+            text = text.lower()
+            fused = _FUSED.get((last_word, text))
+            if fused is not None:
+                tokens[-1] = Token(fused, None, tokens[-1].location)
+                last_word = None
+                continue
+            kind = KEYWORDS.get(text)
+            if kind is None:
+                tokens.append(Token(TokenKind.IDENT, text, loc))
+            else:
+                tokens.append(Token(kind, None, loc))
+            last_word = text
+            continue
+        last_word = None
+        if group == "symbol":
+            tokens.append(Token(_SYMBOLS[text], None, loc))
+        elif group == "newline":
+            # Runs of blank lines collapse into a single NEWLINE.
+            if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
+                tokens.append(Token(TokenKind.NEWLINE, None, loc))
+            if text == "\n":
+                line, line_start = line + 1, pos
+        elif group == "number":
+            if text.isdigit():
+                tokens.append(Token(TokenKind.INT, int(text), loc))
+            else:
+                value = float(text.lower().replace("d", "e"))
+                tokens.append(Token(TokenKind.REAL, value, loc))
+        else:
+            tokens.append(Token(DOTTED_OPERATORS[text.lower()], None, loc))
+    column = end - line_start + 1
+    if tokens and tokens[-1].kind is not TokenKind.NEWLINE:
+        tokens.append(
+            Token(TokenKind.NEWLINE, None, SourceLocation(filename, line, column))
+        )
+    tokens.append(Token(TokenKind.EOF, None, SourceLocation(filename, line, column)))
+    return tokens

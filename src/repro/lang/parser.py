@@ -17,9 +17,9 @@ Grammar (statements are newline-terminated; ``;`` also terminates):
     do          : "do" NAME "=" expr "," expr ["," expr] NL stmt* "enddo" NL
     dowhile     : "do" "while" "(" expr ")" NL stmt* "enddo" NL
 
-Expressions follow FORTRAN precedence:
-``.or.`` < ``.and.`` < ``.not.`` < relational < additive < multiplicative
-< unary minus < ``**`` (right associative) < primary.
+Expressions are parsed by precedence climbing over :data:`OPERATORS`,
+loosest first: ``.or.`` < ``.and.`` < ``.not.`` < relational < additive <
+multiplicative < unary minus < ``**`` (right associative) < primary.
 """
 
 from __future__ import annotations
@@ -30,17 +30,39 @@ from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenKind
 from repro.lang.types import ScalarType
 
-_REL_OPS = {
-    TokenKind.OP_LT: "<",
-    TokenKind.OP_LE: "<=",
-    TokenKind.OP_GT: ">",
-    TokenKind.OP_GE: ">=",
-    TokenKind.OP_EQ: "==",
-    TokenKind.OP_NE: "!=",
-}
+#: Every operator, loosest first: the token that spells it, the AST node
+#: and op it parses to, and its precedence.  The binary operators
+#: associate to the left, except the relationals, which do not associate
+#: (``a < b < c`` is an error), and ``**``, which associates to the right.
+#: :mod:`repro.lang.pretty` prints expressions from the same table.
+OPERATORS = (
+    (TokenKind.OP_OR, ast.BinOp, "or", 1),
+    (TokenKind.OP_AND, ast.BinOp, "and", 2),
+    (TokenKind.OP_NOT, ast.UnOp, "not", 3),
+    (TokenKind.OP_LT, ast.BinOp, "<", 4),
+    (TokenKind.OP_LE, ast.BinOp, "<=", 4),
+    (TokenKind.OP_GT, ast.BinOp, ">", 4),
+    (TokenKind.OP_GE, ast.BinOp, ">=", 4),
+    (TokenKind.OP_EQ, ast.BinOp, "==", 4),
+    (TokenKind.OP_NE, ast.BinOp, "!=", 4),
+    (TokenKind.PLUS, ast.BinOp, "+", 5),
+    (TokenKind.MINUS, ast.BinOp, "-", 5),
+    (TokenKind.STAR, ast.BinOp, "*", 6),
+    (TokenKind.SLASH, ast.BinOp, "/", 6),
+    (TokenKind.MINUS, ast.UnOp, "-", 7),
+    (TokenKind.POWER, ast.BinOp, "**", 8),
+)
 
-_ADD_OPS = {TokenKind.PLUS: "+", TokenKind.MINUS: "-"}
-_MUL_OPS = {TokenKind.STAR: "*", TokenKind.SLASH: "/"}
+#: The operators precedence climbing applies: token kind -> (op,
+#: precedence).  Unary minus and ``**`` have their own methods.
+_BINARY = {
+    kind: (op, prec)
+    for kind, node, op, prec in OPERATORS
+    if node is ast.BinOp and kind is not TokenKind.POWER
+}
+_TIGHTEST = max(prec for _, prec in _BINARY.values())
+_RELATIONAL = _BINARY[TokenKind.OP_LT][1]
+_NOT = next(prec for kind, _, _, prec in OPERATORS if kind is TokenKind.OP_NOT)
 
 
 class Parser:
@@ -154,7 +176,7 @@ class Parser:
         while self._at(TokenKind.KW_INTEGER) or self._at(TokenKind.KW_REAL):
             decls.append(self._parse_decl())
             self._skip_newlines()
-        body = self._parse_stmts(stop={TokenKind.KW_END})
+        body = self._parse_stmts()
         self._expect(TokenKind.KW_END, "'end'")
         if not self._at(TokenKind.EOF):
             self._expect_newline()
@@ -213,7 +235,7 @@ class Parser:
         TokenKind.EOF,
     }
 
-    def _parse_stmts(self, stop: set) -> list:
+    def _parse_stmts(self) -> list:
         stmts = []
         self._skip_newlines()
         while self._peek().kind not in self._STMT_STOPPERS:
@@ -305,7 +327,7 @@ class Parser:
             return ast.If([(cond, [stmt])], [], loc)
         self._advance()  # then
         self._expect_newline()
-        arms = [(cond, self._parse_stmts(stop=set()))]
+        arms = [(cond, self._parse_stmts())]
         else_body: list = []
         while True:
             if self._accept(TokenKind.KW_ELSEIF):
@@ -314,11 +336,11 @@ class Parser:
                 self._expect(TokenKind.RPAREN, "')'")
                 self._expect(TokenKind.KW_THEN, "'then'")
                 self._expect_newline()
-                arms.append((arm_cond, self._parse_stmts(stop=set())))
+                arms.append((arm_cond, self._parse_stmts()))
                 continue
             if self._accept(TokenKind.KW_ELSE):
                 self._expect_newline()
-                else_body = self._parse_stmts(stop=set())
+                else_body = self._parse_stmts()
             break
         self._expect(TokenKind.KW_ENDIF, "'end if'")
         self._expect_newline()
@@ -331,7 +353,7 @@ class Parser:
             cond = self._parse_expr()
             self._expect(TokenKind.RPAREN, "')'")
             self._expect_newline()
-            body = self._parse_stmts(stop=set())
+            body = self._parse_stmts()
             self._expect(TokenKind.KW_ENDDO, "'end do'")
             self._expect_newline()
             return ast.DoWhile(cond, body, loc)
@@ -344,7 +366,7 @@ class Parser:
         if self._accept(TokenKind.COMMA):
             step = self._parse_expr()
         self._expect_newline()
-        body = self._parse_stmts(stop=set())
+        body = self._parse_stmts()
         self._expect(TokenKind.KW_ENDDO, "'end do'")
         self._expect_newline()
         return ast.DoLoop(var, start, limit, step, body, loc)
@@ -353,53 +375,28 @@ class Parser:
     # Expressions
     # ------------------------------------------------------------------
 
-    def _parse_expr(self) -> ast.Expr:
-        return self._parse_or()
-
-    def _parse_or(self) -> ast.Expr:
-        expr = self._parse_and()
-        while self._at(TokenKind.OP_OR):
+    def _parse_expr(self, min_prec: int = 1) -> ast.Expr:
+        """Parse an expression whose binary operators bind at least as
+        tightly as ``min_prec``, by precedence climbing over OPERATORS."""
+        tok = self._peek()
+        if tok.kind is TokenKind.OP_NOT and min_prec <= _NOT:
+            self._advance()
+            expr = ast.UnOp("not", self._parse_expr(_NOT), tok.location)
+            # Only .and. and .or. may follow a negation.
+            max_prec = _NOT - 1
+        else:
+            expr = self._parse_unary()
+            max_prec = _TIGHTEST
+        while True:
+            op, prec = _BINARY.get(self._peek().kind, (None, 0))
+            # Operators tighter than the last one applied here went into
+            # its right operand, except a second relational, which ends
+            # the whole expression: relationals do not associate.
+            if not min_prec <= prec <= max_prec:
+                return expr
             loc = self._advance().location
-            expr = ast.BinOp("or", expr, self._parse_and(), loc)
-        return expr
-
-    def _parse_and(self) -> ast.Expr:
-        expr = self._parse_not()
-        while self._at(TokenKind.OP_AND):
-            loc = self._advance().location
-            expr = ast.BinOp("and", expr, self._parse_not(), loc)
-        return expr
-
-    def _parse_not(self) -> ast.Expr:
-        if self._at(TokenKind.OP_NOT):
-            loc = self._advance().location
-            return ast.UnOp("not", self._parse_not(), loc)
-        return self._parse_relational()
-
-    def _parse_relational(self) -> ast.Expr:
-        expr = self._parse_additive()
-        kind = self._peek().kind
-        if kind in _REL_OPS:
-            loc = self._advance().location
-            rhs = self._parse_additive()
-            return ast.BinOp(_REL_OPS[kind], expr, rhs, loc)
-        return expr
-
-    def _parse_additive(self) -> ast.Expr:
-        expr = self._parse_multiplicative()
-        while self._peek().kind in _ADD_OPS:
-            op_tok = self._advance()
-            rhs = self._parse_multiplicative()
-            expr = ast.BinOp(_ADD_OPS[op_tok.kind], expr, rhs, op_tok.location)
-        return expr
-
-    def _parse_multiplicative(self) -> ast.Expr:
-        expr = self._parse_unary()
-        while self._peek().kind in _MUL_OPS:
-            op_tok = self._advance()
-            rhs = self._parse_unary()
-            expr = ast.BinOp(_MUL_OPS[op_tok.kind], expr, rhs, op_tok.location)
-        return expr
+            expr = ast.BinOp(op, expr, self._parse_expr(prec + 1), loc)
+            max_prec = prec - 1 if prec == _RELATIONAL else prec
 
     def _parse_unary(self) -> ast.Expr:
         if self._at(TokenKind.MINUS):

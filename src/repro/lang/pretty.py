@@ -1,42 +1,20 @@
 """Pretty-printer: render an AST back to mini-FORTRAN source.
 
 The output re-parses to an equivalent tree, which the test suite uses as a
-round-trip property.  Operator precedence is re-established with minimal
+round-trip property.  Operator precedence, read from the parser's
+:data:`~repro.lang.parser.OPERATORS`, is re-established with minimal
 parentheses.
 """
 
 from __future__ import annotations
 
 from repro.lang import ast
+from repro.lang.parser import OPERATORS
 from repro.lang.types import ScalarType
 
-_PRECEDENCE = {
-    "or": 1,
-    "and": 2,
-    "not": 3,
-    "<": 4,
-    "<=": 4,
-    ">": 4,
-    ">=": 4,
-    "==": 4,
-    "!=": 4,
-    "+": 5,
-    "-": 5,
-    "*": 6,
-    "/": 6,
-    "neg": 7,
-    "**": 8,
-}
-
-_SPELLING = {
-    "or": ".or.",
-    "and": ".and.",
-    "<": ".lt.",
-    "<=": ".le.",
-    ">": ".gt.",
-    ">=": ".ge.",
-    "==": ".eq.",
-    "!=": ".ne.",
+#: (AST node, op) -> (spelling, precedence), from the parser's table.
+_OPERATORS = {
+    (node, op): (kind.value, prec) for kind, node, op, prec in OPERATORS
 }
 
 
@@ -56,14 +34,14 @@ def format_expr(expr: ast.Expr, parent_prec: int = 0) -> str:
         args = ", ".join(format_expr(a) for a in expr.args)
         return f"{expr.name}({args})"
     if isinstance(expr, ast.UnOp):
-        prec = _PRECEDENCE["neg" if expr.op == "-" else expr.op]
-        spelling = "-" if expr.op == "-" else ".not. "
+        spelling, prec = _OPERATORS[ast.UnOp, expr.op]
+        if expr.op == "not":
+            spelling += " "
         inner = format_expr(expr.operand, prec)
         text = f"{spelling}{inner}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(expr, ast.BinOp):
-        prec = _PRECEDENCE[expr.op]
-        op = _SPELLING.get(expr.op, expr.op)
+        op, prec = _OPERATORS[ast.BinOp, expr.op]
         lhs = format_expr(expr.lhs, prec)
         # +1 on the right side forces parens for same-precedence right
         # children of left-associative operators (a - (b - c)).

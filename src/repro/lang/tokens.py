@@ -8,7 +8,7 @@ from repro.errors import SourceLocation
 
 
 class TokenKind(enum.Enum):
-    """Every lexical category produced by :class:`repro.lang.lexer.Lexer`."""
+    """Every lexical category produced by :func:`repro.lang.lexer.tokenize`."""
 
     # Literals and names.
     IDENT = "ident"
