@@ -1,9 +1,17 @@
 """Tests for the combined report generator (small configurations)."""
 
+from functools import partial
+
 import pytest
 
 pytestmark = pytest.mark.slow
 
+from repro.experiments import report as report_module
+from repro.experiments.ablations import run_ablations
+from repro.experiments.figure5 import run_figure5
+from repro.experiments.figure6 import run_figure6
+from repro.experiments.figure7 import run_figure7
+from repro.experiments.intstudy import run_integer_study
 from repro.experiments.report import _fence, build_report
 
 
@@ -18,8 +26,20 @@ class TestFence:
 class TestBuildReport:
     @pytest.fixture(scope="class")
     def report(self):
-        # Small sizes keep the full regeneration quick enough for CI.
-        return build_report(array_size=64, intsuite_size=64)
+        # TestPaperFigures (test_experiments.py) regenerates and checks
+        # every full-size experiment; this only checks the rendering, so
+        # it renders small runs.
+        small = {
+            "run_figure5": partial(run_figure5, programs=["svd"], simulate=False),
+            "run_figure6": partial(run_figure6, register_counts=(16, 8)),
+            "run_figure7": partial(run_figure7, routines=[("cedeta", "dqrdc")]),
+            "run_ablations": partial(run_ablations, programs=["svd"]),
+            "run_integer_study": partial(run_integer_study, register_counts=(16, 8)),
+        }
+        with pytest.MonkeyPatch.context() as patch:
+            for name, runner in small.items():
+                patch.setattr(report_module, name, runner)
+            return build_report(array_size=64, intsuite_size=64)
 
     def test_contains_every_section(self, report):
         for heading in (
