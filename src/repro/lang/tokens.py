@@ -90,7 +90,7 @@ KEYWORDS = {
     "print": TokenKind.KW_PRINT,
 }
 
-#: Dotted operators, longest-match first.
+#: Dotted operators by spelling; the lexer matches them case-insensitively.
 DOTTED_OPERATORS = {
     ".and.": TokenKind.OP_AND,
     ".not.": TokenKind.OP_NOT,
